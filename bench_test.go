@@ -107,7 +107,7 @@ func BenchmarkTable2SiteDiscovery(b *testing.B) {
 // extended, on a representative migration (india Open MPI binary at fir).
 func BenchmarkTable3Prediction(b *testing.B) {
 	tb := benchTestbed(b)
-	runner := experiment.NewSimRunner(benchSim())
+	runner := experiment.NewSimProbeRunner(benchSim())
 	art := compileBench(b, tb, "india", "openmpi-1.4-gnu", "cg")
 	desc, err := feam.DescribeBytes(art.Bytes, art.Name)
 	if err != nil {
@@ -145,7 +145,7 @@ func BenchmarkTable3Prediction(b *testing.B) {
 // must be staged at india.
 func BenchmarkTable4Resolution(b *testing.B) {
 	tb := benchTestbed(b)
-	runner := experiment.NewSimRunner(benchSim())
+	runner := experiment.NewSimProbeRunner(benchSim())
 	art := compileBench(b, tb, "ranger", "mvapich2-1.2-gnu", "cg")
 	desc, err := feam.DescribeBytes(art.Bytes, art.Name)
 	if err != nil {
@@ -175,7 +175,7 @@ func BenchmarkTable4Resolution(b *testing.B) {
 // discovery, library gathering and bundle assembly.
 func BenchmarkSourcePhaseBundle(b *testing.B) {
 	tb := benchTestbed(b)
-	runner := experiment.NewSimRunner(benchSim())
+	runner := experiment.NewSimProbeRunner(benchSim())
 	ranger := tb.ByName["ranger"]
 	art := compileBench(b, tb, "ranger", "mvapich2-1.2-gnu", "cg")
 	if err := ranger.FS().WriteFile("/home/user/"+art.Name, art.Bytes); err != nil {
@@ -297,7 +297,7 @@ func BenchmarkExecSimRun(b *testing.B) {
 // transitive requirements.
 func BenchmarkAblationRecursiveResolution(b *testing.B) {
 	tb := benchTestbed(b)
-	runner := experiment.NewSimRunner(benchSim())
+	runner := experiment.NewSimProbeRunner(benchSim())
 	art := compileBench(b, tb, "ranger", "mvapich2-1.2-gnu", "cg")
 	desc, err := feam.DescribeBytes(art.Bytes, art.Name)
 	if err != nil {
@@ -327,7 +327,7 @@ func BenchmarkAblationRecursiveResolution(b *testing.B) {
 // early C-library failure skips probe executions entirely.
 func BenchmarkAblationDeterminantOrder(b *testing.B) {
 	tb := benchTestbed(b)
-	runner := experiment.NewSimRunner(benchSim())
+	runner := experiment.NewSimProbeRunner(benchSim())
 	ranger := tb.ByName["ranger"]
 	envRanger, err := feam.Discover(ranger)
 	if err != nil {
@@ -624,7 +624,7 @@ func BenchmarkABIResolve(b *testing.B) {
 // survey cold so the parallel speedup reflects real work.
 func BenchmarkRankSitesParallel(b *testing.B) {
 	tb := benchTestbed(b)
-	runner := experiment.NewSimRunner(benchSim())
+	runner := experiment.NewSimProbeRunner(benchSim())
 	art := compileBench(b, tb, "india", "openmpi-1.4-gnu", "cg")
 	desc, err := feam.DescribeBytes(art.Bytes, art.Name)
 	if err != nil {
@@ -635,8 +635,8 @@ func BenchmarkRankSitesParallel(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := feam.New()
-				ranked := eng.RankSitesParallel(ctx, desc, art.Bytes, tb.Sites, opts, workers)
+				eng := feam.New(feam.WithWorkers(workers))
+				ranked := eng.RankSites(ctx, desc, art.Bytes, tb.Sites, opts)
 				for _, a := range ranked {
 					if a.Err != nil {
 						b.Fatal(a.Err)
@@ -658,7 +658,7 @@ func sourceBundle(b *testing.B, tb *testbed.Testbed, siteName, stackKey string, 
 	if err := testbed.ActivateStack(site, stackKey); err != nil {
 		b.Fatal(err)
 	}
-	runner := experiment.NewSimRunner(benchSim())
+	runner := experiment.NewSimProbeRunner(benchSim())
 	bundle, _, err := feam.RunSourcePhase(benchConfig("source", "/home/user/"+art.Name), site, runner)
 	if err != nil {
 		b.Fatal(err)

@@ -194,7 +194,7 @@ func runFaults(eng *feam.Engine, tb *testbed.Testbed, rate, transientFrac float6
 		Phase: "source", BinaryPath: binPath,
 		SerialScript: serial, ParallelScript: parallel,
 	}
-	bundle, _, err := eng.RunSourcePhase(ctx, cfg, src, &scenario.BatchRunner{Inner: experiment.NewSimRunner(sim), TB: tb})
+	bundle, _, err := eng.RunSourcePhase(ctx, cfg, src, &scenario.BatchRunner{Inner: experiment.NewSimProbeRunner(sim), TB: tb})
 	src.RestoreEnv(snap)
 	if err != nil {
 		return err

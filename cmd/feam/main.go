@@ -69,6 +69,7 @@ func run(codeName, className, from, stackKey, to string, basic bool, seed int64,
 		feam.WithMetrics(metricsReg),
 		feam.WithRegistry(sites),
 		feam.WithStore(st),
+		feam.WithWorkers(workers),
 	)
 	if verbose {
 		defer func() {
@@ -112,7 +113,7 @@ func run(codeName, className, from, stackKey, to string, basic bool, seed int64,
 	}
 
 	sim := execsim.NewSimulator(seed)
-	runner := experiment.NewSimRunner(sim)
+	runner := experiment.NewSimProbeRunner(sim)
 
 	fmt.Printf("Compiling %s at %s with %s...\n", code.Name, from, stackKey)
 	art, err := toolchain.Compile(code, rec, src)
@@ -183,9 +184,9 @@ func run(codeName, className, from, stackKey, to string, basic bool, seed int64,
 			}
 		}
 		fmt.Printf("\n== Ranking %d candidate sites (%d workers) ==\n", len(targets), workers)
-		ranked := eng.RankSitesParallel(ctx, desc, art.Bytes, targets, feam.EvalOptions{
+		ranked := eng.RankSites(ctx, desc, art.Bytes, targets, feam.EvalOptions{
 			Bundle: bundle, Resolve: bundle != nil, Runner: runner,
-		}, workers)
+		})
 		for i, a := range ranked {
 			switch {
 			case a.Err != nil:

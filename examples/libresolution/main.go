@@ -25,6 +25,7 @@ import (
 	"feam/internal/batch"
 	"feam/internal/execsim"
 	"feam/internal/experiment"
+	"feam/internal/fault"
 	"feam/internal/feam"
 	"feam/internal/sitemodel"
 	"feam/internal/testbed"
@@ -38,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	sim := execsim.NewSimulator(7)
-	runner := experiment.NewSimRunner(sim)
+	runner := experiment.NewSimProbeRunner(sim)
 	eng := feam.New()
 
 	fmt.Println("=== Scenario A: resolvable (ranger -> india) ===")
@@ -48,7 +49,7 @@ func main() {
 	scenarioB(eng, tb, runner)
 }
 
-func scenarioA(eng *feam.Engine, tb *testbed.Testbed, sim *execsim.Simulator, runner feam.RunnerFunc) {
+func scenarioA(eng *feam.Engine, tb *testbed.Testbed, sim *execsim.Simulator, runner fault.Runner) {
 	ranger, india := tb.ByName["ranger"], tb.ByName["india"]
 	art := compile(ranger, "mvapich2-1.2-gnu", "mg")
 	place(ranger, india, art)
@@ -79,7 +80,7 @@ func scenarioA(eng *feam.Engine, tb *testbed.Testbed, sim *execsim.Simulator, ru
 	fmt.Printf("actual execution with staging:    %s\n", outcome(with))
 }
 
-func scenarioB(eng *feam.Engine, tb *testbed.Testbed, runner feam.RunnerFunc) {
+func scenarioB(eng *feam.Engine, tb *testbed.Testbed, runner fault.Runner) {
 	india, ranger := tb.ByName["india"], tb.ByName["ranger"]
 	art := compile(india, "mvapich2-1.7a2-gnu", "is")
 	place(india, ranger, art)
@@ -109,7 +110,7 @@ func place(src, dst *sitemodel.Site, art *toolchain.Artifact) {
 	}
 }
 
-func sourcePhase(eng *feam.Engine, tb *testbed.Testbed, site *sitemodel.Site, stackKey string, art *toolchain.Artifact, runner feam.RunnerFunc) *feam.Bundle {
+func sourcePhase(eng *feam.Engine, tb *testbed.Testbed, site *sitemodel.Site, stackKey string, art *toolchain.Artifact, runner fault.Runner) *feam.Bundle {
 	snap := site.SnapshotEnv()
 	defer site.RestoreEnv(snap)
 	if err := testbed.ActivateStack(site, stackKey); err != nil {
@@ -122,7 +123,7 @@ func sourcePhase(eng *feam.Engine, tb *testbed.Testbed, site *sitemodel.Site, st
 	return bundle
 }
 
-func targetPhase(eng *feam.Engine, tb *testbed.Testbed, site *sitemodel.Site, art *toolchain.Artifact, bundle *feam.Bundle, runner feam.RunnerFunc) *feam.Prediction {
+func targetPhase(eng *feam.Engine, tb *testbed.Testbed, site *sitemodel.Site, art *toolchain.Artifact, bundle *feam.Bundle, runner fault.Runner) *feam.Prediction {
 	pred, _, err := eng.RunTargetPhase(context.Background(), config(tb, site.Name, "target", "/home/user/"+art.Name), site, bundle, runner)
 	if err != nil {
 		log.Fatal(err)

@@ -33,8 +33,7 @@ func main() {
 	fir := tb.ByName["fir"]
 
 	// The engine owns the prediction pipeline: memoized binary and
-	// environment descriptions, the determinant registry, and per-site
-	// locks for concurrent use. One engine serves any number of
+	// environment descriptions and per-site locks for concurrent use. One engine serves any number of
 	// evaluations.
 	ctx := context.Background()
 	eng := feam.New()
@@ -68,7 +67,7 @@ func main() {
 	// 4. Evaluate (FEAM's TEC). The runner executes hello-world probe
 	//    programs through the ground-truth execution simulator, the way the
 	//    real framework submits probes through the batch system.
-	runner := experiment.NewSimRunner(execsim.NewSimulator(1))
+	runner := experiment.NewSimProbeRunner(execsim.NewSimulator(1))
 	pred, err := eng.Evaluate(ctx, desc, art.Bytes, env, fir, feam.EvalOptions{Runner: runner})
 	if err != nil {
 		log.Fatal(err)

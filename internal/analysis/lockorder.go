@@ -6,7 +6,7 @@ import (
 )
 
 // LockOrder enforces the locking discipline documented on Engine (PR 1)
-// and exercised by RankSitesParallel: the engine's registry mutex (e.mu)
+// and exercised by RankSites: the engine's registry mutex (e.mu)
 // is a leaf lock guarding map lookups only — holding it across probe
 // runs, staging operations, retry loops, or another lock acquisition
 // serializes the whole survey fan-out (or deadlocks it); and per-site
@@ -21,16 +21,15 @@ var LockOrder = &Analyzer{
 }
 
 // lockBlockers are direct calls that block for simulated work: probe
-// executions, staging writes, retry/backoff loops, and whole-pipeline
-// reentries. Holding the engine's leaf mutex across any of them is a
-// bug even when it happens to pass the race detector.
+// sessions and executions, staging writes, retry/backoff loops, and
+// whole-pipeline reentries. Holding the engine's leaf mutex across any of
+// them is a bug even when it happens to pass the race detector.
 var lockBlockers = map[string]bool{
-	"RunProgram": true, "RunProbe": true, "runProbe": true,
-	"OpenBatch": true, "BeginProbeBatch": true,
+	"BeginProbeBatch": true, "RunProbe": true, "runProbe": true, "probeOnce": true,
 	"CompileHello": true, "CompileSerialHello": true,
 	"Retry": true, "RetryWithHook": true, "Sleep": true,
 	"Evaluate": true, "Predict": true, "Discover": true, "Describe": true,
-	"RankSites": true, "RankSitesParallel": true, "assessSite": true,
+	"RankSites": true, "assessSite": true,
 	"resolveMissing": true, "stagePlan": true, "stageOne": true,
 	"commitStage": true, "retryFSOp": true,
 	// PR 6 layering: real survey/description work and the engine's

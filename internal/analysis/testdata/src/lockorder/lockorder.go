@@ -57,6 +57,19 @@ func (e *engine) badProbeUnderMu() {
 	runProbe() // want `while holding e.mu`
 }
 
+// probeRunner mirrors fault.Runner: opening a session activates a stack
+// and validates a submission script at the site.
+type probeRunner struct{}
+
+func (probeRunner) BeginProbeBatch(site, stackKey string) {}
+
+// badBeginProbeBatchUnderMu opens a probe session under the leaf mutex.
+func (e *engine) badBeginProbeBatchUnderMu(r probeRunner) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	r.BeginProbeBatch("a", "mpich2") // want `BeginProbeBatch while holding e.mu`
+}
+
 // badEvaluateUnderMu reenters the pipeline under the leaf mutex.
 func (e *engine) badEvaluateUnderMu() {
 	e.mu.Lock()

@@ -68,7 +68,7 @@ type AblationResult struct {
 func RunAblations(tb *testbed.Testbed, ts *TestSet, sim *execsim.Simulator) ([]AblationResult, error) {
 	ctx := context.Background()
 	eng := feam.New()
-	runner := NewSimRunner(sim)
+	runner := NewSimProbeRunner(sim)
 
 	// Source phases once.
 	bundles := map[string]*feam.Bundle{}

@@ -50,7 +50,7 @@ func TestSharedEngineRace(t *testing.T) {
 	bin := ts.Binaries[0]
 
 	ctx := context.Background()
-	eng := feam.New()
+	eng := feam.New(feam.WithWorkers(len(tb.Sites)))
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -70,8 +70,8 @@ func TestSharedEngineRace(t *testing.T) {
 				errs <- err
 				return
 			}
-			ranked := eng.RankSitesParallel(ctx, desc, bin.Artifact.Bytes, tb.Sites,
-				feam.EvalOptions{Runner: NewSimRunner(sim)}, len(tb.Sites))
+			ranked := eng.RankSites(ctx, desc, bin.Artifact.Bytes, tb.Sites,
+				feam.EvalOptions{Runner: NewSimProbeRunner(sim)})
 			for _, a := range ranked {
 				if a.Err != nil {
 					errs <- a.Err

@@ -8,11 +8,14 @@ import (
 	"feam/internal/toolchain"
 )
 
-// Runner is the probe-program execution interface, structurally identical
-// to feam.ProgramRunner (declared here too so this package can wrap
-// runners without importing the prediction pipeline).
+// Runner executes FEAM's probe programs (the TEC's "hello world" runs)
+// through probe sessions. BeginProbeBatch opens a session against one
+// (site, stack) pair and never returns nil: a session whose setup failed
+// still opens, and every probe in it reports the setup failure. The stack
+// key refers to whatever `module load <key>`-style selection means at the
+// site; an empty key runs without an MPI stack (serial probes).
 type Runner interface {
-	RunProgram(ctx context.Context, art *toolchain.Artifact, site *sitemodel.Site, stackKey string, extraLibDirs []string) (success bool, detail string)
+	BeginProbeBatch(ctx context.Context, site *sitemodel.Site, stackKey string) ProbeBatch
 }
 
 // ProbeResult is the structured outcome of one probe-program execution.
@@ -31,18 +34,12 @@ type ProbeResult struct {
 	Transient bool
 }
 
-// ProbeRunner is implemented by runners that can classify their own
-// failures. The prediction pipeline prefers it over RunProgram's
-// (bool, string) and falls back to ClassifyDetail otherwise.
-type ProbeRunner interface {
-	RunProbe(ctx context.Context, art *toolchain.Artifact, site *sitemodel.Site, stackKey string, extraLibDirs []string) ProbeResult
-}
-
-// ClassifyDetail derives a ProbeResult from a legacy (success, detail)
-// pair. The missing-library test anchors on the loader's "=> not found"
-// arrow — a bare "not found" also appears in symbol-version errors
-// ("version `GLIBC_2.12' not found"), which are ABI breaks that must
-// condemn a stack, not be excused as resolvable.
+// ClassifyDetail derives a ProbeResult from a batch system's job outcome,
+// where only the job's success and output text are known. The
+// missing-library test anchors on the loader's "=> not found" arrow — a
+// bare "not found" also appears in symbol-version errors ("version
+// `GLIBC_2.12' not found"), which are ABI breaks that must condemn a
+// stack, not be excused as resolvable.
 func ClassifyDetail(success bool, detail string) ProbeResult {
 	res := ProbeResult{Success: success, Detail: detail}
 	if success {
@@ -64,46 +61,19 @@ type ProbeBatch interface {
 	Close()
 }
 
-// BatchProbeRunner is implemented by runners that can amortize per-probe
-// setup across a session. BeginProbeBatch may return nil to decline (for
-// example when the site has no batch system); callers go through OpenBatch,
-// which falls back to per-probe execution.
-type BatchProbeRunner interface {
-	BeginProbeBatch(ctx context.Context, site *sitemodel.Site, stackKey string) ProbeBatch
-}
+// FailedBatch returns a probe session whose setup failed: every probe in
+// it reports res, and Close has nothing to release.
+func FailedBatch(res ProbeResult) ProbeBatch { return failedBatch{res} }
 
-// OpenBatch opens a probe session on r against one (site, stack) pair.
-// Runners implementing BatchProbeRunner get their native session; everyone
-// else gets a pass-through batch that repeats setup per probe, so callers
-// always probe through the batch interface.
-func OpenBatch(ctx context.Context, r Runner, site *sitemodel.Site, stackKey string) ProbeBatch {
-	if br, ok := r.(BatchProbeRunner); ok {
-		if b := br.BeginProbeBatch(ctx, site, stackKey); b != nil {
-			return b
-		}
-	}
-	return &singleProbeBatch{r: r, site: site, stackKey: stackKey}
-}
-
-// singleProbeBatch adapts an unbatched runner to the ProbeBatch interface:
-// each probe pays full setup, exactly as a direct RunProbe would.
-type singleProbeBatch struct {
-	r        Runner
-	site     *sitemodel.Site
-	stackKey string
-}
+type failedBatch struct{ res ProbeResult }
 
 // RunProbe implements ProbeBatch.
-func (b *singleProbeBatch) RunProbe(ctx context.Context, art *toolchain.Artifact, extraLibDirs []string) ProbeResult {
-	if pr, ok := b.r.(ProbeRunner); ok {
-		return pr.RunProbe(ctx, art, b.site, b.stackKey, extraLibDirs)
-	}
-	ok, detail := b.r.RunProgram(ctx, art, b.site, b.stackKey, extraLibDirs)
-	return ClassifyDetail(ok, detail)
+func (b failedBatch) RunProbe(context.Context, *toolchain.Artifact, []string) ProbeResult {
+	return b.res
 }
 
 // Close implements ProbeBatch.
-func (b *singleProbeBatch) Close() {}
+func (failedBatch) Close() {}
 
 // FaultyRunner wraps a probe runner with an injector: before each probe
 // the injector may fail the run outright, simulating batch-system or
@@ -113,36 +83,12 @@ type FaultyRunner struct {
 	Inj   Injector
 }
 
-// RunProgram implements Runner.
-func (f *FaultyRunner) RunProgram(ctx context.Context, art *toolchain.Artifact, site *sitemodel.Site, stackKey string, extraLibDirs []string) (bool, string) {
-	res := f.RunProbe(ctx, art, site, stackKey, extraLibDirs)
-	return res.Success, res.Detail
-}
-
-// RunProbe implements ProbeRunner.
-func (f *FaultyRunner) RunProbe(ctx context.Context, art *toolchain.Artifact, site *sitemodel.Site, stackKey string, extraLibDirs []string) ProbeResult {
-	if f.Inj != nil {
-		if err := f.Inj.Fail(ctx, "probe", site.Name+"/"+stackKey); err != nil {
-			return ProbeResult{
-				Success:   false,
-				Detail:    err.Error(),
-				Transient: IsTransient(err),
-			}
-		}
-	}
-	if pr, ok := f.Inner.(ProbeRunner); ok {
-		return pr.RunProbe(ctx, art, site, stackKey, extraLibDirs)
-	}
-	ok, detail := f.Inner.RunProgram(ctx, art, site, stackKey, extraLibDirs)
-	return ClassifyDetail(ok, detail)
-}
-
-// BeginProbeBatch implements BatchProbeRunner: the inner runner's session
-// setup is amortized as usual, while the injector stays consulted on every
-// probe — injected flakiness is per-execution, not per-session.
+// BeginProbeBatch implements Runner: the inner runner's session setup is
+// amortized as usual, while the injector stays consulted on every probe —
+// injected flakiness is per-execution, not per-session.
 func (f *FaultyRunner) BeginProbeBatch(ctx context.Context, site *sitemodel.Site, stackKey string) ProbeBatch {
 	return &faultyBatch{
-		inner: OpenBatch(ctx, f.Inner, site, stackKey),
+		inner: f.Inner.BeginProbeBatch(ctx, site, stackKey),
 		inj:   f.Inj,
 		key:   site.Name + "/" + stackKey,
 	}

@@ -1,5 +1,5 @@
 // abi.go wires the internal/abicheck symbol-resolution analyzer into the
-// engine: a fifth DeterminantEvaluator behind the WithABICheck option, a
+// engine: a fifth DeterminantEvaluator in the ABIEvaluators ladder, a
 // KindSymIndex caching layer over the sharded registry and the persistent
 // store, and the cross-tool agreement mode that runs the independent
 // soname-closure checker and publishes abi_agree/abi_disagree counters
@@ -74,9 +74,8 @@ func (a ABIEvaluator) Evaluate(ec *EvalContext) error {
 
 // ABIEvaluators returns the extended determinant ladder: the paper's four
 // evaluators with the ABI-standard MPI stack class enabled, plus the
-// symbol-resolution evaluator. WithABICheck installs this ladder; it is
-// also the registry to pass via EvalOptions.Evaluators for a one-off
-// ABI-checked evaluation on a default engine.
+// symbol-resolution evaluator. Pass it via EvalOptions.Evaluators for an
+// ABI-checked evaluation.
 func ABIEvaluators(agreement bool) []DeterminantEvaluator {
 	return []DeterminantEvaluator{
 		ISAEvaluator{},

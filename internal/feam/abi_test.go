@@ -11,9 +11,9 @@ import (
 )
 
 // TestPredictWithABICheck drives the extended five-determinant ladder
-// end to end on a real compiled binary: the ABI determinant must run,
-// attach the per-symbol report, and agree with the closure checker on a
-// clean site.
+// (selected per request through EvalOptions.Evaluators) end to end on a
+// real compiled binary: the ABI determinant must run, attach the
+// per-symbol report, and agree with the closure checker on a clean site.
 func TestPredictWithABICheck(t *testing.T) {
 	tb := sharedTestbed(t)
 	site := tb.ByName["india"]
@@ -23,10 +23,10 @@ func TestPredictWithABICheck(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng := feam.New(feam.WithABICheck(true))
+	eng := feam.New()
 	pred, err := eng.Predict(context.Background(), feam.EvalRequest{
 		Desc: desc, Binary: art.Bytes, Site: site,
-		Options: feam.EvalOptions{Runner: experimentRunner()},
+		Options: feam.EvalOptions{Runner: experimentRunner(), Evaluators: feam.ABIEvaluators(true)},
 	})
 	if err != nil {
 		t.Fatal(err)

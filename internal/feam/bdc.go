@@ -141,7 +141,9 @@ type LibraryCopy struct {
 	Name string
 	// OriginPath is where the copy was found at the source site.
 	OriginPath string
-	// Data is the library image.
+	// Data is the library image. It shares its backing array with the
+	// source site's stored file (vfs never mutates stored bytes in place,
+	// and staging's WriteFile copies), so it is read-only.
 	Data []byte
 	// Attrs preserves the file's extended attributes so a staged copy is
 	// byte-for-byte (and metadata-for-metadata) identical to the original.
@@ -201,7 +203,7 @@ func GatherLibraries(site *sitemodel.Site, binary []byte, name string) (*GatherR
 			continue
 		}
 		p := located[dep]
-		data, err := site.FS().ReadFile(p)
+		data, err := site.FS().ReadFileShared(p)
 		if err != nil {
 			res.NotFound = append(res.NotFound, dep)
 			continue

@@ -46,6 +46,11 @@ type DeterminantEvaluator interface {
 	Evaluate(ec *EvalContext) error
 }
 
+// defaultLadder is the ladder a request without EvalOptions.Evaluators
+// runs. Evaluators are stateless values, so one slice serves every
+// request; nothing may modify it.
+var defaultLadder = DefaultEvaluators()
+
 // DefaultEvaluators returns the full determinant registry in the paper's
 // §V.C order: ISA, C library, MPI stack, shared libraries.
 func DefaultEvaluators() []DeterminantEvaluator {

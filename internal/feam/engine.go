@@ -16,9 +16,9 @@ import (
 	"feam/internal/sitemodel"
 )
 
-// Engine is the stateless prediction core: the determinant-evaluator
-// ladder, the worker-pool width, the retry policy, and the observability
-// wiring — configuration fixed at construction, never mutated. All engine
+// Engine is the stateless prediction core: the worker-pool width, the
+// retry policy, and the observability wiring — configuration fixed at
+// construction, never mutated. All engine
 // *state* (site table, per-site locks, memoized BDC and EDC caches,
 // persisted surveys and bundles) lives behind the SiteRegistry and Store
 // layers, so any number of engines sharing one registry and store see one
@@ -35,9 +35,8 @@ import (
 // sharing one registry share one set of site locks, which is what makes
 // cross-engine evaluation of one site safe.
 type Engine struct {
-	evaluators []DeterminantEvaluator
-	workers    int
-	retry      fault.RetryPolicy
+	workers int
+	retry   fault.RetryPolicy
 
 	// sites is the in-memory state layer (never nil); store is the
 	// optional persistence layer a restarted process rehydrates from.
@@ -87,10 +86,7 @@ func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 // JSON or Prometheus text exposition format.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
-// defaultEvaluators returns the construction-time determinant ladder.
-func (e *Engine) defaultEvaluators() []DeterminantEvaluator { return e.evaluators }
-
-// Workers returns the engine's default RankSites fan-out width.
+// Workers returns the engine's RankSites fan-out width.
 func (e *Engine) Workers() int { return e.workers }
 
 // RetryPolicy returns the engine's transient-fault retry policy.
@@ -228,7 +224,7 @@ func (e *Engine) InvalidateSite(name string) {
 	}
 }
 
-// Evaluate runs the Target Evaluation Component through the engine's
+// Evaluate runs the Target Evaluation Component through the paper's
 // determinant registry (or opts.Evaluators when set): each registered
 // evaluator records its determinant's outcome on the prediction, and a Fail
 // gates off the rest — the paper's cheap-checks-first ladder. appBytes may

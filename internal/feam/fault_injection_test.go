@@ -14,7 +14,6 @@ import (
 	"feam/internal/obs"
 	"feam/internal/registry"
 	"feam/internal/sitemodel"
-	"feam/internal/toolchain"
 )
 
 // faultEngine returns a fresh engine plus its private metrics registry, so
@@ -305,8 +304,8 @@ func TestRankSitesKeepsPartialTrailOnEvaluatorError(t *testing.T) {
 	eng, _ := faultEngine()
 	evals := []feam.DeterminantEvaluator{feam.DefaultEvaluators()[0], failingEvaluator{}}
 	sites := []*sitemodel.Site{tb.ByName["india"], tb.ByName["fir"]}
-	ranked := eng.RankSitesParallel(context.Background(), desc, art.Bytes, sites,
-		feam.EvalOptions{Evaluators: evals}, 2)
+	ranked := eng.RankSites(context.Background(), desc, art.Bytes, sites,
+		feam.EvalOptions{Evaluators: evals})
 	for _, a := range ranked {
 		if a.Err == nil {
 			t.Errorf("%s: evaluator error lost", a.Site)
@@ -335,13 +334,12 @@ func TestRankSitesContainsPanickingRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, _ := faultEngine()
-	panicky := feam.RunnerFunc(func(_ context.Context, art *toolchain.Artifact, site *sitemodel.Site, stackKey string, extra []string) (bool, string) {
-		panic("runner exploded")
-	})
+	eng := feam.New(feam.WithWorkers(2))
+	panicky := newCountingRunner(experimentRunner())
+	panicky.panics = true
 	sites := []*sitemodel.Site{tb.ByName["india"], tb.ByName["blacklight"]}
-	ranked := eng.RankSitesParallel(context.Background(), desc, art.Bytes, sites,
-		feam.EvalOptions{Runner: panicky}, 2)
+	ranked := eng.RankSites(context.Background(), desc, art.Bytes, sites,
+		feam.EvalOptions{Runner: panicky})
 	if len(ranked) != 2 {
 		t.Fatalf("ranked = %d", len(ranked))
 	}

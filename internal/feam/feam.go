@@ -24,13 +24,7 @@
 // resolution model.
 package feam
 
-import (
-	"context"
-	"fmt"
-
-	"feam/internal/sitemodel"
-	"feam/internal/toolchain"
-)
+import "fmt"
 
 // Determinant is one of the prediction model's four questions (Figure 1).
 type Determinant int
@@ -46,8 +40,8 @@ const (
 	DetSharedLibs
 	// DetABI: does every undefined dynamic symbol of the binary resolve
 	// against the site's exported-symbol index? This fifth determinant is
-	// not part of the paper's Figure 1 ladder; it is installed by
-	// WithABICheck and stays "not evaluated" under the default ladder.
+	// not part of the paper's Figure 1 ladder; it runs under the
+	// ABIEvaluators ladder and stays "not evaluated" under the default one.
 	DetABI
 )
 
@@ -70,8 +64,8 @@ func (d Determinant) String() string {
 
 // Determinants lists the model's questions in evaluation order: ISA and C
 // library first (cheap gates), then MPI stack and shared libraries (§V.C),
-// and finally the symbol-level ABI check (evaluated only when the engine
-// was built WithABICheck).
+// and finally the symbol-level ABI check (evaluated only under the
+// ABIEvaluators ladder).
 func Determinants() []Determinant {
 	return []Determinant{DetISA, DetCLibrary, DetMPIStack, DetSharedLibs, DetABI}
 }
@@ -109,23 +103,4 @@ func (o Outcome) String() string {
 type DeterminantResult struct {
 	Outcome Outcome
 	Detail  string
-}
-
-// ProgramRunner executes a test program at a site with a selected stack
-// named by its key. FEAM uses it only for the probe programs the paper's
-// TEC runs ("hello world" executions); the production implementation
-// submits through the batch system, and the simulation harness backs it
-// with the execution simulator. The stack key refers to whatever `module
-// load <key>`-style selection means at the site; an empty key runs without
-// an MPI stack (serial probes).
-type ProgramRunner interface {
-	RunProgram(ctx context.Context, art *toolchain.Artifact, site *sitemodel.Site, stackKey string, extraLibDirs []string) (success bool, detail string)
-}
-
-// RunnerFunc adapts a function to ProgramRunner.
-type RunnerFunc func(ctx context.Context, art *toolchain.Artifact, site *sitemodel.Site, stackKey string, extraLibDirs []string) (bool, string)
-
-// RunProgram implements ProgramRunner.
-func (f RunnerFunc) RunProgram(ctx context.Context, art *toolchain.Artifact, site *sitemodel.Site, stackKey string, extraLibDirs []string) (bool, string) {
-	return f(ctx, art, site, stackKey, extraLibDirs)
 }

@@ -38,7 +38,7 @@ func quietSim() *execsim.Simulator {
 }
 
 // experimentRunner is the execsim-backed probe runner used across tests.
-func experimentRunner() feam.RunnerFunc { return experiment.NewSimRunner(quietSim()) }
+func experimentRunner() *experiment.SimProbeRunner { return experiment.NewSimProbeRunner(quietSim()) }
 
 // compileAt builds a code at a site with a named stack, activating the
 // stack environment for the compile the way a user would.
@@ -174,6 +174,36 @@ func TestGatherLibrariesFallbackSearch(t *testing.T) {
 	}
 }
 
+// TestGatherLibrariesSharesSiteStorage: gathered copies alias the source
+// site's stored bytes instead of duplicating them, so a bundle costs no
+// library memory beyond the filesystem that already holds the files.
+func TestGatherLibrariesSharesSiteStorage(t *testing.T) {
+	tb := sharedTestbed(t)
+	india := tb.ByName["india"]
+	snap := india.SnapshotEnv()
+	defer india.RestoreEnv(snap)
+	if err := testbed.ActivateStack(india, "openmpi-1.4-gnu"); err != nil {
+		t.Fatal(err)
+	}
+	art := compileAt(t, tb, "india", "openmpi-1.4-gnu", "cg")
+	res, err := feam.GatherLibraries(india, art.Bytes, "cg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Copies) == 0 {
+		t.Fatal("no copies gathered")
+	}
+	for _, lc := range res.Copies {
+		stored, err := india.FS().ReadFileShared(lc.OriginPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lc.Data) == 0 || &lc.Data[0] != &stored[0] {
+			t.Errorf("%s copy does not share storage with %s", lc.Name, lc.OriginPath)
+		}
+	}
+}
+
 func TestDiscoverModulesSite(t *testing.T) {
 	tb := sharedTestbed(t)
 	india := tb.ByName["india"]
@@ -269,7 +299,7 @@ func TestDiscoverSoftEnvAndPathSearchSites(t *testing.T) {
 
 func TestEvaluateReadyAtCompatibleSite(t *testing.T) {
 	tb := sharedTestbed(t)
-	runner := experiment.NewSimRunner(quietSim())
+	runner := experiment.NewSimProbeRunner(quietSim())
 	// india and fir share glibc, GCC, and MPI versions: a gnu Open MPI
 	// binary migrates cleanly.
 	art := compileAt(t, tb, "india", "openmpi-1.4-gnu", "cg")
@@ -305,7 +335,7 @@ func TestEvaluateReadyAtCompatibleSite(t *testing.T) {
 
 func TestEvaluateCLibraryGate(t *testing.T) {
 	tb := sharedTestbed(t)
-	runner := experiment.NewSimRunner(quietSim())
+	runner := experiment.NewSimProbeRunner(quietSim())
 	// An uncapped code built on forge (glibc 2.12) cannot run on ranger
 	// (2.3.4); evaluation stops at the C library determinant.
 	art := compileAt(t, tb, "forge", "openmpi-1.4-gnu", "lu")
@@ -336,7 +366,7 @@ func TestEvaluateCLibraryGate(t *testing.T) {
 
 func TestEvaluateNoMatchingImplementation(t *testing.T) {
 	tb := sharedTestbed(t)
-	runner := experiment.NewSimRunner(quietSim())
+	runner := experiment.NewSimProbeRunner(quietSim())
 	// An MPICH2 binary cannot run at blacklight (Open MPI only).
 	art := compileAt(t, tb, "india", "mpich2-1.4-gnu", "is")
 	desc, err := feam.DescribeBytes(art.Bytes, "is.india.mpich2")
@@ -362,7 +392,7 @@ func TestEvaluateNoMatchingImplementation(t *testing.T) {
 
 func TestEvaluateBrokenStackDetected(t *testing.T) {
 	tb := sharedTestbed(t)
-	runner := experiment.NewSimRunner(quietSim())
+	runner := experiment.NewSimProbeRunner(quietSim())
 	// MVAPICH2 binaries migrating to forge find only the broken
 	// mvapich2-1.7rc1-intel; the hello-world probe exposes it.
 	art := compileAt(t, tb, "india", "mvapich2-1.7a2-intel", "is")
@@ -393,7 +423,7 @@ func TestEvaluateBrokenStackDetected(t *testing.T) {
 func TestSourceAndTargetPhasesWithResolution(t *testing.T) {
 	tb := sharedTestbed(t)
 	sim := quietSim()
-	runner := experiment.NewSimRunner(sim)
+	runner := experiment.NewSimProbeRunner(sim)
 	ranger := tb.ByName["ranger"]
 	india := tb.ByName["india"]
 
@@ -491,7 +521,7 @@ func TestSourceAndTargetPhasesWithResolution(t *testing.T) {
 // class: copies requiring a newer C library than the target provides.
 func TestResolutionRejectsIncompatibleCopies(t *testing.T) {
 	tb := sharedTestbed(t)
-	runner := experiment.NewSimRunner(quietSim())
+	runner := experiment.NewSimProbeRunner(quietSim())
 	india := tb.ByName["india"]
 	ranger := tb.ByName["ranger"]
 

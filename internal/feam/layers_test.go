@@ -28,8 +28,8 @@ func TestTwoEnginesSharedRegistry(t *testing.T) {
 
 	shared := registry.New()
 	engines := []*feam.Engine{
-		feam.New(feam.WithRegistry(shared)),
-		feam.New(feam.WithRegistry(shared)),
+		feam.New(feam.WithRegistry(shared), feam.WithWorkers(len(sites))),
+		feam.New(feam.WithRegistry(shared), feam.WithWorkers(len(sites))),
 	}
 	results := make([][]feam.SiteAssessment, len(engines))
 	var wg sync.WaitGroup
@@ -37,8 +37,8 @@ func TestTwoEnginesSharedRegistry(t *testing.T) {
 		wg.Add(1)
 		go func(i int, eng *feam.Engine) {
 			defer wg.Done()
-			results[i] = eng.RankSitesParallel(context.Background(), desc, art.Bytes, sites,
-				feam.EvalOptions{Runner: experimentRunner()}, len(sites))
+			results[i] = eng.RankSites(context.Background(), desc, art.Bytes, sites,
+				feam.EvalOptions{Runner: experimentRunner()})
 		}(i, eng)
 	}
 	wg.Wait()

@@ -39,9 +39,9 @@ func TestTracingEmitsDeterminantSpans(t *testing.T) {
 	}
 	sites := []*sitemodel.Site{tb.ByName["ranger"], tb.ByName["india"], tb.ByName["blacklight"]}
 
-	eng := feam.New()
-	eng.RankSitesParallel(context.Background(), desc, art.Bytes, sites,
-		feam.EvalOptions{Runner: experimentRunner()}, len(sites))
+	eng := feam.New(feam.WithWorkers(len(sites)))
+	eng.RankSites(context.Background(), desc, art.Bytes, sites,
+		feam.EvalOptions{Runner: experimentRunner()})
 
 	spans := eng.Tracer().Snapshot()
 	byID := make(map[uint64]obs.Span, len(spans))
@@ -90,11 +90,11 @@ func TestHistogramsNoLostSamplesUnderRankSitesParallel(t *testing.T) {
 	}
 	sites := []*sitemodel.Site{tb.ByName["ranger"], tb.ByName["india"], tb.ByName["blacklight"], tb.ByName["forge"]}
 
-	eng := feam.New()
+	eng := feam.New(feam.WithWorkers(4))
 	const rounds = 5
 	for r := 0; r < rounds; r++ {
-		eng.RankSitesParallel(context.Background(), desc, art.Bytes, sites,
-			feam.EvalOptions{Runner: experimentRunner()}, 4)
+		eng.RankSites(context.Background(), desc, art.Bytes, sites,
+			feam.EvalOptions{Runner: experimentRunner()})
 	}
 	want := uint64(rounds * len(sites))
 	if got := eng.Metrics().Histogram(obs.OpEvaluate).Count(); got != want {
@@ -146,7 +146,7 @@ func TestSentinelErrors(t *testing.T) {
 	if derr != nil {
 		t.Fatal(derr)
 	}
-	ranked := eng.RankSitesParallel(ctx, desc, plainBinary(), []*sitemodel.Site{broken}, feam.EvalOptions{}, 1)
+	ranked := eng.RankSites(ctx, desc, plainBinary(), []*sitemodel.Site{broken}, feam.EvalOptions{})
 	if len(ranked) != 1 || !errors.Is(ranked[0].Err, feam.ErrSiteUnavailable) {
 		t.Errorf("ranked broken site: %+v", ranked)
 	}
@@ -214,8 +214,9 @@ func TestPredictEvaluateEquivalence(t *testing.T) {
 }
 
 // TestFunctionalOptionsWireTheEngine: every option must land on the
-// constructed engine — shared tracer/registry instances, the registry
-// sink feeding span-derived counters, and a custom ladder honored.
+// constructed engine — shared tracer/registry instances, the worker width,
+// and the registry sink feeding span-derived counters — and a per-request
+// ladder is honored.
 func TestFunctionalOptionsWireTheEngine(t *testing.T) {
 	ctx := context.Background()
 	tr := obs.NewTracer(64)
@@ -227,7 +228,6 @@ func TestFunctionalOptionsWireTheEngine(t *testing.T) {
 		feam.WithRegistry(shared),
 		feam.WithWorkers(2),
 		feam.WithRetryPolicy(fault.RetryPolicy{MaxAttempts: 1}),
-		feam.WithEvaluators(feam.DefaultEvaluators()),
 	)
 	if eng.Tracer() != tr {
 		t.Fatal("WithTracer instance not adopted")
@@ -241,9 +241,15 @@ func TestFunctionalOptionsWireTheEngine(t *testing.T) {
 	if eng.SiteLock("wiring-probe") != shared.SiteLock("wiring-probe") {
 		t.Fatal("engine site locks must come from the shared registry")
 	}
+	if eng.Workers() != 2 {
+		t.Fatalf("Workers = %d, want 2", eng.Workers())
+	}
 
 	site := minimalSite(t)
-	pred, err := eng.Predict(ctx, feam.EvalRequest{Binary: plainBinary(), BinaryName: "app.opts", Site: site})
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Binary: plainBinary(), BinaryName: "app.opts", Site: site,
+		Options: feam.EvalOptions{Evaluators: feam.DefaultEvaluators()},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,24 +13,15 @@ import (
 type Option func(*engineConfig)
 
 type engineConfig struct {
-	evaluators []DeterminantEvaluator
-	workers    int
-	retry      fault.RetryPolicy
-	tracer     *obs.Tracer
-	metrics    *obs.Registry
-	sites      SiteRegistry
-	store      Store
-	abiCheck   bool
-	abiAgree   bool
+	workers int
+	retry   fault.RetryPolicy
+	tracer  *obs.Tracer
+	metrics *obs.Registry
+	sites   SiteRegistry
+	store   Store
 }
 
-// WithEvaluators sets the determinant registry. The slice is captured
-// as-is; pass evaluators in the order they should gate.
-func WithEvaluators(evals []DeterminantEvaluator) Option {
-	return func(c *engineConfig) { c.evaluators = evals }
-}
-
-// WithWorkers sets the default fan-out width for RankSites (minimum 1).
+// WithWorkers sets the fan-out width for RankSites (minimum 1).
 func WithWorkers(n int) Option {
 	return func(c *engineConfig) {
 		if n < 1 {
@@ -79,17 +70,6 @@ func WithStore(s Store) Option {
 	return func(c *engineConfig) { c.store = s }
 }
 
-// WithABICheck installs the extended five-determinant ladder
-// (ABIEvaluators): the paper's four rungs with the ABI-standard MPI
-// stack class enabled, plus symbol-level ABI resolution as a fifth
-// determinant. agreement additionally runs the independent
-// soname-closure checker per evaluation and publishes the
-// abi_agree/abi_disagree counters. The option overrides WithEvaluators;
-// the paper-faithful four-rung ladder stays the default without it.
-func WithABICheck(agreement bool) Option {
-	return func(c *engineConfig) { c.abiCheck, c.abiAgree = true, agreement }
-}
-
 // New returns an engine configured by opts. Every engine carries a tracer,
 // a metrics registry, and a site registry (private ones unless injected
 // with WithTracer / WithMetrics / WithRegistry): all pipeline operations
@@ -98,15 +78,11 @@ func WithABICheck(agreement bool) Option {
 // plus the store, when one is configured with WithStore.
 func New(opts ...Option) *Engine {
 	cfg := engineConfig{
-		evaluators: DefaultEvaluators(),
-		workers:    defaultWorkers(),
-		retry:      fault.DefaultRetryPolicy(),
+		workers: defaultWorkers(),
+		retry:   fault.DefaultRetryPolicy(),
 	}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.abiCheck {
-		cfg.evaluators = ABIEvaluators(cfg.abiAgree)
 	}
 	if cfg.tracer == nil {
 		cfg.tracer = obs.NewTracer(0)
@@ -118,13 +94,12 @@ func New(opts ...Option) *Engine {
 		cfg.sites = registry.New(registry.WithMetrics(cfg.metrics))
 	}
 	e := &Engine{
-		evaluators: cfg.evaluators,
-		workers:    cfg.workers,
-		retry:      cfg.retry,
-		sites:      cfg.sites,
-		store:      cfg.store,
-		tracer:     cfg.tracer,
-		reg:        cfg.metrics,
+		workers: cfg.workers,
+		retry:   cfg.retry,
+		sites:   cfg.sites,
+		store:   cfg.store,
+		tracer:  cfg.tracer,
+		reg:     cfg.metrics,
 	}
 	e.tracer.AddSink(obs.NewRegistrySink(e.reg))
 	return e

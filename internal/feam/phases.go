@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"feam/internal/fault"
 	"feam/internal/obs"
 	"feam/internal/sitemodel"
 	"feam/internal/toolchain"
@@ -73,7 +74,7 @@ const (
 
 // RunSourcePhase executes FEAM's optional phase I through the package-level
 // default engine. See Engine.RunSourcePhase.
-func RunSourcePhase(cfg *Config, site *sitemodel.Site, runner ProgramRunner) (*Bundle, *Report, error) {
+func RunSourcePhase(cfg *Config, site *sitemodel.Site, runner fault.Runner) (*Bundle, *Report, error) {
 	return DefaultEngine().RunSourcePhase(context.Background(), cfg, site, runner)
 }
 
@@ -84,7 +85,7 @@ func RunSourcePhase(cfg *Config, site *sitemodel.Site, runner ProgramRunner) (*B
 //
 // The caller must hold SiteLock(site.Name) when the site is shared across
 // goroutines.
-func (e *Engine) RunSourcePhase(ctx context.Context, cfg *Config, site *sitemodel.Site, runner ProgramRunner) (*Bundle, *Report, error) {
+func (e *Engine) RunSourcePhase(ctx context.Context, cfg *Config, site *sitemodel.Site, runner fault.Runner) (*Bundle, *Report, error) {
 	report := &Report{Phase: "source", Site: site.Name}
 	if cfg.Phase != "source" {
 		return nil, nil, fmt.Errorf("%w: config requests phase %q, not source", ErrBadConfig, cfg.Phase)
@@ -160,11 +161,11 @@ func (e *Engine) RunSourcePhase(ctx context.Context, cfg *Config, site *sitemode
 					obs.WithSite(site.Name), obs.WithBinary(cfg.BinaryPath),
 					obs.WithAttr(obs.AttrStack, env.Loaded.Key),
 					obs.WithAttr(obs.AttrAttempt, "1"))
-				ok, detail := runner.RunProgram(ctx, hello, site, env.Loaded.Key, nil)
-				psp.SetAttr(obs.AttrSuccess, strconv.FormatBool(ok))
-				if !ok {
-					psp.SetAttr(obs.AttrDetail, detail)
-					report.note("source-site hello world FAILED: %s", detail)
+				res := probeOnce(ctx, runner, site, env.Loaded.Key, hello)
+				psp.SetAttr(obs.AttrSuccess, strconv.FormatBool(res.Success))
+				if !res.Success {
+					psp.SetAttr(obs.AttrDetail, res.Detail)
+					report.note("source-site hello world FAILED: %s", res.Detail)
 				}
 				psp.End(nil)
 				report.step("MPI hello world probe", costProbeRun)
@@ -192,9 +193,16 @@ func (e *Engine) RunSourcePhase(ctx context.Context, cfg *Config, site *sitemode
 	return bundle, report, nil
 }
 
+// probeOnce runs one probe program in a one-probe session.
+func probeOnce(ctx context.Context, runner fault.Runner, site *sitemodel.Site, stackKey string, art *toolchain.Artifact) fault.ProbeResult {
+	pb := runner.BeginProbeBatch(ctx, site, stackKey)
+	defer pb.Close()
+	return pb.RunProbe(ctx, art, nil)
+}
+
 // RunTargetPhase executes FEAM's required phase II through the
 // package-level default engine. See Engine.RunTargetPhase.
-func RunTargetPhase(cfg *Config, site *sitemodel.Site, bundle *Bundle, runner ProgramRunner) (*Prediction, *Report, error) {
+func RunTargetPhase(cfg *Config, site *sitemodel.Site, bundle *Bundle, runner fault.Runner) (*Prediction, *Report, error) {
 	return DefaultEngine().RunTargetPhase(context.Background(), cfg, site, bundle, runner)
 }
 
@@ -204,7 +212,7 @@ func RunTargetPhase(cfg *Config, site *sitemodel.Site, bundle *Bundle, runner Pr
 //
 // The caller must hold SiteLock(site.Name) when the site is shared across
 // goroutines.
-func (e *Engine) RunTargetPhase(ctx context.Context, cfg *Config, site *sitemodel.Site, bundle *Bundle, runner ProgramRunner) (*Prediction, *Report, error) {
+func (e *Engine) RunTargetPhase(ctx context.Context, cfg *Config, site *sitemodel.Site, bundle *Bundle, runner fault.Runner) (*Prediction, *Report, error) {
 	report := &Report{Phase: "target", Site: site.Name}
 	if cfg.Phase != "target" {
 		return nil, nil, fmt.Errorf("%w: config requests phase %q, not target", ErrBadConfig, cfg.Phase)

@@ -106,7 +106,7 @@ func (e *Engine) Predict(ctx context.Context, req EvalRequest) (*Prediction, err
 
 	evals := opts.Evaluators
 	if evals == nil {
-		evals = e.defaultEvaluators()
+		evals = defaultLadder
 	}
 	ec := &EvalContext{
 		Context:  ctx,

@@ -29,8 +29,8 @@ func RankSites(desc *BinaryDescription, appBytes []byte, sites []*sitemodel.Site
 }
 
 // RankSites surveys and evaluates every candidate site with the engine's
-// default worker count and orders the results best-first — the paper's
-// headline use case: "For scientists who do not have much experience,
+// worker pool and orders the results best-first — the paper's headline
+// use case: "For scientists who do not have much experience,
 // time, or support to explore new computing sites ... an efficient
 // automated solution for quickly assessing many new computing sites."
 //
@@ -38,20 +38,14 @@ func RankSites(desc *BinaryDescription, appBytes []byte, sites []*sitemodel.Site
 // needing staged libraries), then not-ready sites by how far they got
 // through the determinant ladder, then failed surveys. Ties keep the
 // caller's site order.
-func (e *Engine) RankSites(ctx context.Context, desc *BinaryDescription, appBytes []byte, sites []*sitemodel.Site, opts EvalOptions) []SiteAssessment {
-	return e.RankSitesParallel(ctx, desc, appBytes, sites, opts, e.Workers())
-}
-
-// RankSitesParallel is RankSites with an explicit fan-out width. Sites are
-// assessed by up to workers goroutines; work on any single site is
-// serialized through the engine's per-site locks, so the same site may
-// safely appear in concurrent surveys (or be concurrently evaluated by
+//
+// Sites are assessed by up to Workers() goroutines; work on any single
+// site is serialized through the engine's per-site locks, so the same site
+// may safely appear in concurrent surveys (or be concurrently evaluated by
 // other engine callers holding SiteLock).
-func (e *Engine) RankSitesParallel(ctx context.Context, desc *BinaryDescription, appBytes []byte, sites []*sitemodel.Site, opts EvalOptions, workers int) []SiteAssessment {
+func (e *Engine) RankSites(ctx context.Context, desc *BinaryDescription, appBytes []byte, sites []*sitemodel.Site, opts EvalOptions) []SiteAssessment {
+	workers := e.Workers()
 	out := make([]SiteAssessment, len(sites))
-	if workers < 1 {
-		workers = 1
-	}
 	if workers > len(sites) {
 		workers = len(sites)
 	}

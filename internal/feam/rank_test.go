@@ -87,8 +87,7 @@ func TestRankSitesOrderingClasses(t *testing.T) {
 	}
 
 	// The concurrent fan-out must produce the identical ranking.
-	eng := feam.New()
-	par := eng.RankSitesParallel(context.Background(), desc, appBytes, sites, opts, 4)
+	par := feam.New(feam.WithWorkers(4)).RankSites(context.Background(), desc, appBytes, sites, opts)
 	for i := range ranked {
 		if par[i].Site != ranked[i].Site {
 			t.Fatalf("parallel rank %d = %s, sequential = %s", i, par[i].Site, ranked[i].Site)
@@ -125,8 +124,7 @@ func TestRankSitesStableTies(t *testing.T) {
 			ranked[1].Prediction.Determinants[feam.DetMPIStack].Outcome != feam.Fail {
 			t.Fatalf("expected both sites to fail the MPI determinant")
 		}
-		eng := feam.New()
-		par := eng.RankSitesParallel(context.Background(), desc, appBytes, order, opts, 2)
+		par := feam.New(feam.WithWorkers(2)).RankSites(context.Background(), desc, appBytes, order, opts)
 		for i, a := range par {
 			if a.Site != order[i].Name {
 				t.Errorf("parallel tie broke input order: got %s at %d", a.Site, i)

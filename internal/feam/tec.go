@@ -23,9 +23,10 @@ type EvalOptions struct {
 	// Bundle enables the extended compatibility tests and the resolution
 	// model (nil = basic prediction).
 	Bundle *Bundle
-	// Runner executes probe programs; without it, stack usability tests
-	// are skipped and stack presence alone decides the MPI determinant.
-	Runner ProgramRunner
+	// Runner opens the probe sessions that execute probe programs;
+	// without it, stack usability tests are skipped and stack presence
+	// alone decides the MPI determinant.
+	Runner fault.Runner
 	// Resolve applies the resolution model to missing shared libraries
 	// (requires Bundle).
 	Resolve bool
@@ -40,8 +41,8 @@ type EvalOptions struct {
 	// dependencies. This exists for the ablation study — the paper's model
 	// is recursive (§IV) — and is never set in normal operation.
 	ShallowResolution bool
-	// Evaluators overrides the engine's determinant registry for this
-	// evaluation (nil = the engine's default ladder). The ablation study
+	// Evaluators selects the determinant registry for this evaluation
+	// (nil = DefaultEvaluators, the paper's ladder). The ablation study
 	// uses this to disable or reconfigure individual determinants.
 	Evaluators []DeterminantEvaluator
 }
@@ -79,9 +80,9 @@ type Prediction struct {
 	// the environment for execution.
 	ConfigScript string
 
-	// ABI is the symbol-resolution report when the ABI determinant ran
-	// (engines built WithABICheck, or an ABIEvaluator in
-	// EvalOptions.Evaluators); nil under the paper's default ladder.
+	// ABI is the symbol-resolution report when the ABI determinant ran (an
+	// ABIEvaluator in EvalOptions.Evaluators); nil under the paper's
+	// default ladder.
 	ABI *abicheck.Report
 }
 
@@ -210,9 +211,7 @@ func compilerFamilyOf(comment string) string {
 // injected transient faults) are retried with backoff; permanent failures
 // and successes return immediately. Every attempt emits one probe span;
 // retries are events on the enclosing span, carrying the nominal backoff
-// about to be slept. Runners that classify their own failures do so inside
-// the session; legacy (bool, string) runners are classified from the
-// output text by fault.ClassifyDetail in the session adapter.
+// about to be slept. The session classifies its own failures.
 func runProbe(ec *EvalContext, pb fault.ProbeBatch, art *toolchain.Artifact, stackKey string, extraLibDirs []string) fault.ProbeResult {
 	site := ec.Site
 	policy := ec.Engine.RetryPolicy()
@@ -256,7 +255,7 @@ func testStack(ec *EvalContext, cand *StackInfo, presenceOnly bool) (bool, strin
 	// One probe session per candidate: the runner's per-session setup
 	// (environment activation, submission-script template validation) is
 	// paid once and shared by both hello-world probes below.
-	pb := fault.OpenBatch(ec.Context, opts.Runner, site, cand.Key)
+	pb := opts.Runner.BeginProbeBatch(ec.Context, site, cand.Key)
 	defer pb.Close()
 
 	tested := false

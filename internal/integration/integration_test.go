@@ -37,10 +37,10 @@ func world(t *testing.T) *testbed.Testbed {
 	return tb
 }
 
-func runner() feam.RunnerFunc {
+func runner() *experiment.SimProbeRunner {
 	sim := execsim.NewSimulator(99)
 	sim.TransientRate = 0
-	return experiment.NewSimRunner(sim)
+	return experiment.NewSimProbeRunner(sim)
 }
 
 func pbsConfig(phase, binary string) *feam.Config {

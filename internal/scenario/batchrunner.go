@@ -7,23 +7,22 @@ import (
 
 	"feam/internal/batch"
 	"feam/internal/fault"
-	"feam/internal/feam"
 	"feam/internal/sitemodel"
 	"feam/internal/testbed"
 	"feam/internal/toolchain"
 )
 
 // BatchRunner routes every probe execution through the site's simulated
-// resource manager instead of invoking it directly: it renders a native
-// submission script for the site's manager flavor (PBS, SGE, SLURM),
-// substitutes the probe command for the %CMD% placeholder — the
-// round-trip FEAM performs on user-supplied templates — parses the script
-// back to confirm nothing was lost, and submits the job through the
-// site's debug queue so probe runs pay queue wait and show up in CPU-hour
-// accounting. Moved here from feam-testbed so both the CLI and the
-// simulator share it.
+// resource manager instead of invoking it directly: each probe session
+// renders a native submission script for the site's manager flavor (PBS,
+// SGE, SLURM) with the %CMD% placeholder, parses it back to confirm
+// nothing was lost — the round-trip FEAM performs on user-supplied
+// templates — and then submits every probe through the site's debug queue
+// with its own command substituted, so probe runs pay queue wait and show
+// up in CPU-hour accounting. Moved here from feam-testbed so both the CLI
+// and the simulator share it.
 type BatchRunner struct {
-	Inner feam.ProgramRunner
+	Inner fault.Runner
 	TB    *testbed.Testbed
 }
 
@@ -33,51 +32,16 @@ const (
 	probeRuntime  = 30 * time.Second
 )
 
-// RunProgram implements feam.ProgramRunner.
-func (r *BatchRunner) RunProgram(ctx context.Context, art *toolchain.Artifact, site *sitemodel.Site, stackKey string, extraLibDirs []string) (bool, string) {
-	cluster := r.TB.Clusters[site.Name]
-	if cluster == nil {
-		// Not a testbed site (imported image): run directly.
-		return r.Inner.RunProgram(ctx, art, site, stackKey, extraLibDirs)
-	}
-	spec := batch.ScriptSpec{
-		Manager:  r.TB.Specs[site.Name].Manager,
-		JobName:  "feam-probe",
-		Queue:    probeQueue,
-		Nodes:    1,
-		Tasks:    4,
-		WallTime: probeWalltime,
-		Command:  batch.CmdPlaceholder,
-	}
-	cmd := fmt.Sprintf("mpirun -np %d ./%s", spec.Nodes*spec.Tasks, art.Name)
-	script := batch.Substitute(batch.Generate(spec), cmd)
-	parsed, err := batch.Parse(script)
-	if err != nil {
-		return false, "batch: generated script unparseable: " + err.Error()
-	}
-	if parsed.Manager != spec.Manager || parsed.Command != cmd {
-		return false, fmt.Sprintf("batch: script round-trip lost state (%s %q)", parsed.Manager, parsed.Command)
-	}
-	res, err := cluster.Submit(parsed, func(int) (bool, string, time.Duration) {
-		ok, detail := r.Inner.RunProgram(ctx, art, site, stackKey, extraLibDirs)
-		return ok, detail, probeRuntime
-	}, 1, 0)
-	if err != nil {
-		return false, "batch: " + err.Error()
-	}
-	return res.Success, res.Output
-}
-
-// BeginProbeBatch implements fault.BatchProbeRunner: the submission-script
-// template is rendered, parsed back, and validated once per probe session
-// instead of once per probe, and the inner runner's own session setup is
-// opened once alongside it. Each probe then submits a copy of the validated
-// spec carrying its own command. Sites without a cluster decline batching
-// (return nil) so fault.OpenBatch falls back to direct execution.
+// BeginProbeBatch implements fault.Runner: the submission-script template
+// is rendered, parsed back, and validated once per probe session instead
+// of once per probe, and the inner runner's own session is opened once
+// alongside it. Each probe then submits a copy of the validated spec
+// carrying its own command. Sites without a cluster (imported images) run
+// probes directly in the inner runner's session.
 func (r *BatchRunner) BeginProbeBatch(ctx context.Context, site *sitemodel.Site, stackKey string) fault.ProbeBatch {
 	cluster := r.TB.Clusters[site.Name]
 	if cluster == nil {
-		return nil
+		return r.Inner.BeginProbeBatch(ctx, site, stackKey)
 	}
 	spec := batch.ScriptSpec{
 		Manager:  r.TB.Specs[site.Name].Manager,
@@ -90,15 +54,16 @@ func (r *BatchRunner) BeginProbeBatch(ctx context.Context, site *sitemodel.Site,
 	}
 	parsed, err := batch.Parse(batch.Generate(spec))
 	if err != nil {
-		return &failedBatch{detail: "batch: generated script unparseable: " + err.Error()}
+		return fault.FailedBatch(fault.ClassifyDetail(false, "batch: generated script unparseable: "+err.Error()))
 	}
 	if parsed.Manager != spec.Manager || parsed.Command != batch.CmdPlaceholder {
-		return &failedBatch{detail: fmt.Sprintf("batch: script round-trip lost state (%s %q)", parsed.Manager, parsed.Command)}
+		return fault.FailedBatch(fault.ClassifyDetail(false,
+			fmt.Sprintf("batch: script round-trip lost state (%s %q)", parsed.Manager, parsed.Command)))
 	}
 	return &clusterProbeBatch{
 		cluster: cluster,
 		spec:    parsed,
-		inner:   fault.OpenBatch(ctx, r.Inner, site, stackKey),
+		inner:   r.Inner.BeginProbeBatch(ctx, site, stackKey),
 	}
 }
 
@@ -133,22 +98,10 @@ func (b *clusterProbeBatch) RunProbe(ctx context.Context, art *toolchain.Artifac
 			Transient:  last.Transient,
 		}
 	}
-	// Queue-level outcome (walltime kill, scheduler text): classify from
-	// the output the way the unbatched path would.
+	// Queue-level outcome (walltime kill, scheduler text): only the job
+	// output is known, so classify that text.
 	return fault.ClassifyDetail(res.Success, res.Output)
 }
 
 // Close implements fault.ProbeBatch.
 func (b *clusterProbeBatch) Close() { b.inner.Close() }
-
-// failedBatch is a probe session whose script template failed validation;
-// every probe reports the validation failure.
-type failedBatch struct{ detail string }
-
-// RunProbe implements fault.ProbeBatch.
-func (b *failedBatch) RunProbe(context.Context, *toolchain.Artifact, []string) fault.ProbeResult {
-	return fault.ClassifyDetail(false, b.detail)
-}
-
-// Close implements fault.ProbeBatch.
-func (b *failedBatch) Close() {}

@@ -156,7 +156,7 @@ type runner struct {
 	desc     *feam.BinaryDescription
 	appBytes []byte
 	bundle   *feam.Bundle
-	probe    feam.ProgramRunner
+	probe    fault.Runner
 
 	faults  map[string]*fault.Policy
 	outages map[string]bool
@@ -350,7 +350,8 @@ func (r *runner) prepareBinary(ctx context.Context) error {
 
 	sim := execsim.NewSimulator(r.sc.Seed)
 	sim.TransientRate = 0 // scripted faults are the only flakiness
-	r.probe = &routedRunner{r: r, inner: &BatchRunner{Inner: experiment.NewSimProbeRunner(sim), TB: r.tb}}
+	batched := &BatchRunner{Inner: experiment.NewSimProbeRunner(sim), TB: r.tb}
+	r.probe = &routedRunner{r: r, inner: batched}
 
 	needBundle := false
 	for _, ev := range r.sc.Events {
@@ -367,7 +368,7 @@ func (r *runner) prepareBinary(ctx context.Context) error {
 				SerialScript:   "#!/bin/sh\n#PBS -N feam\n#PBS -q debug\n#PBS -l nodes=1:ppn=1\n#PBS -l walltime=00:10:00\n%CMD%\n",
 				ParallelScript: "#!/bin/sh\n#PBS -N feam\n#PBS -q debug\n#PBS -l nodes=1:ppn=4\n#PBS -l walltime=00:15:00\n%CMD%\n",
 			}
-			r.bundle, _, err = r.eng.RunSourcePhase(ctx, cfg, src, &BatchRunner{Inner: experiment.NewSimRunner(sim), TB: r.tb})
+			r.bundle, _, err = r.eng.RunSourcePhase(ctx, cfg, src, batched)
 		}
 		src.RestoreEnv(snap)
 		if err != nil {
@@ -392,26 +393,18 @@ func (r *runner) prepareBinary(ctx context.Context) error {
 // here.
 type routedRunner struct {
 	r     *runner
-	inner feam.ProgramRunner
+	inner fault.Runner
 }
 
-func (rr *routedRunner) RunProgram(ctx context.Context, art *toolchain.Artifact, site *sitemodel.Site, stackKey string, extraLibDirs []string) (bool, string) {
-	if p := rr.r.faults[site.Name]; p != nil {
-		f := &fault.FaultyRunner{Inner: rr.inner, Inj: p}
-		return f.RunProgram(ctx, art, site, stackKey, extraLibDirs)
-	}
-	return rr.inner.RunProgram(ctx, art, site, stackKey, extraLibDirs)
-}
-
-// BeginProbeBatch implements fault.BatchProbeRunner, threading the per-site
-// fault policy into the opened session (the injector fires per probe even
-// though the session setup is shared).
+// BeginProbeBatch implements fault.Runner, threading the per-site fault
+// policy into the opened session (the injector fires per probe even though
+// the session setup is shared).
 func (rr *routedRunner) BeginProbeBatch(ctx context.Context, site *sitemodel.Site, stackKey string) fault.ProbeBatch {
 	if p := rr.r.faults[site.Name]; p != nil {
 		f := &fault.FaultyRunner{Inner: rr.inner, Inj: p}
-		return fault.OpenBatch(ctx, f, site, stackKey)
+		return f.BeginProbeBatch(ctx, site, stackKey)
 	}
-	return fault.OpenBatch(ctx, rr.inner, site, stackKey)
+	return rr.inner.BeginProbeBatch(ctx, site, stackKey)
 }
 
 // resolveTargets maps event target names to current fleet sites: exact

@@ -15,6 +15,7 @@ import (
 	"feam/internal/elfimg"
 	"feam/internal/execsim"
 	"feam/internal/experiment"
+	"feam/internal/fault"
 	"feam/internal/feam"
 	"feam/internal/obs"
 	"feam/internal/registry"
@@ -51,7 +52,7 @@ type Server struct {
 	tb      *testbed.Testbed
 	eng     *feam.Engine
 	co      *feam.Coalescer
-	runner  feam.ProgramRunner
+	runner  fault.Runner
 	metrics *obs.Registry
 	tracer  *obs.Tracer
 	st      *store.Store
