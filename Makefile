@@ -102,8 +102,10 @@ bench-trajectory:
 # Quick CI variant: a fixed tiny iteration count proves the benchmarks
 # and the JSON renderer still work without paying for stable numbers,
 # and the AllocsPerRun gates fail the job if the zero-copy View accessor
-# path or the cached ABI resolve path ever allocates again.
+# path, the cached ABI resolve path or the parsed-ELF memo hit path ever
+# allocates again.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 10x -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -out BENCH_smoke.json
 	$(GO) test -run 'TestViewParseAllocs' -count=1 -v ./internal/elfimg/
 	$(GO) test -run 'TestABIResolveAllocs' -count=1 -v ./internal/abicheck/
+	$(GO) test -run 'TestReadELFHitAllocs' -count=1 -v ./internal/vfs/

@@ -647,6 +647,39 @@ func BenchmarkRankSitesParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkRankSitesWarm measures the five-site ranking with one engine
+// reused across iterations, so surveys are cached after the first and
+// each iteration times what a repeated ranking pays: the Target
+// Evaluation Component, its dependency closures, and the hello-world
+// probes. BenchmarkRankSitesParallel builds a fresh engine per iteration,
+// where discovery hides that cost.
+func BenchmarkRankSitesWarm(b *testing.B) {
+	tb := benchTestbed(b)
+	runner := experiment.NewSimProbeRunner(benchSim())
+	art := compileBench(b, tb, "india", "openmpi-1.4-gnu", "cg")
+	desc, err := feam.DescribeBytes(art.Bytes, art.Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := feam.EvalOptions{Runner: runner}
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			eng := feam.New(feam.WithWorkers(workers))
+			eng.RankSites(ctx, desc, art.Bytes, tb.Sites, opts)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, a := range eng.RankSites(ctx, desc, art.Bytes, tb.Sites, opts) {
+					if a.Err != nil {
+						b.Fatal(a.Err)
+					}
+				}
+			}
+		})
+	}
+}
+
 func sourceBundle(b *testing.B, tb *testbed.Testbed, siteName, stackKey string, art *toolchain.Artifact) *feam.Bundle {
 	b.Helper()
 	site := tb.ByName[siteName]

@@ -194,7 +194,7 @@ func (s *Simulator) runOnce(req Request, attempt int) (res Result) {
 	}
 
 	// 2. Dynamic loading.
-	resolution, err := ldso.ResolveBytes(art.Bytes, art.Name, ldso.Options{
+	resolution, err := ldso.Resolve(f, art.Name, ldso.Options{
 		FS:              site.FS(),
 		LibraryPath:     splitPath(site.Getenv("LD_LIBRARY_PATH")),
 		DefaultDirs:     site.DefaultLibDirs(),

@@ -96,7 +96,7 @@ func (e *Engine) ABICheck(ctx context.Context, site *sitemodel.Site, bin []byte,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return e.abiReport(site, bin, name, agreement, nil)
+	return e.abiReport(site, bin, name, agreement, obs.SpanFromContext(ctx))
 }
 
 // abiReport builds (or reuses) the site index, resolves the binary, and

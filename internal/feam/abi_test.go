@@ -3,6 +3,7 @@ package feam_test
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"feam/internal/elfimg"
@@ -116,6 +117,43 @@ func TestSymbolIndexCachedAcrossChecks(t *testing.T) {
 	}
 	if r.Libraries == 0 {
 		t.Fatal("rebuilt report indexes no libraries")
+	}
+}
+
+// parentSink is an in-memory sink recording each ended span's op and
+// parent.
+type parentSink struct {
+	mu      sync.Mutex
+	parents map[string][]uint64
+}
+
+func (s *parentSink) SpanStarted(*obs.Span)          {}
+func (s *parentSink) SpanEvent(*obs.Span, obs.Event) {}
+func (s *parentSink) SpanEnded(sp *obs.Span) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.parents[sp.Op] = append(s.parents[sp.Op], sp.Parent)
+}
+
+// TestABICheckSpansJoinTheRequestTree: ABICheck parents the index build
+// and the resolution pass under the span its context carries, so an
+// /v1/abi request or a churn op explains itself as one span tree.
+func TestABICheckSpansJoinTheRequestTree(t *testing.T) {
+	tb := sharedTestbed(t)
+	eng := feam.New()
+	sink := &parentSink{parents: map[string][]uint64{}}
+	eng.Tracer().AddSink(sink)
+	root := eng.Tracer().Start("request")
+	ctx := obs.ContextWithSpan(context.Background(), root)
+	if _, err := eng.ABICheck(ctx, tb.ByName["blacklight"], plainBinary(), "probe", false); err != nil {
+		t.Fatal(err)
+	}
+	root.End(nil)
+	for _, op := range []string{obs.OpSymIndex, obs.OpABICheck} {
+		parents := sink.parents[op]
+		if len(parents) != 1 || parents[0] != root.ID {
+			t.Errorf("%s span parents = %v, want [%d] (the request span)", op, parents, root.ID)
+		}
 	}
 }
 

@@ -168,11 +168,9 @@ func discoverGlibc(site *sitemodel.Site, env *EnvironmentDescription, shards []*
 			return
 		}
 	}
-	if data, err := site.FS().ReadFileShared(p); err == nil {
-		if f, err := elfimg.Parse(data); err == nil {
-			if v := libver.HighestGlibc(f.VerDefs); !v.IsZero() {
-				env.Glibc, env.GlibcSource = v, "api"
-			}
+	if f, err := site.FS().ReadELF(p); err == nil {
+		if v := libver.HighestGlibc(f.VerDefs); !v.IsZero() {
+			env.Glibc, env.GlibcSource = v, "api"
 		}
 	}
 }

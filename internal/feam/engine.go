@@ -18,7 +18,8 @@ import (
 
 // Engine is the stateless prediction core: the worker-pool width, the
 // retry policy, and the observability wiring — configuration fixed at
-// construction, never mutated. All engine
+// construction, never mutated — plus one pure-function memo of compiled
+// hello worlds. All engine
 // *state* (site table, per-site locks, memoized BDC and EDC caches,
 // persisted surveys and bundles) lives behind the SiteRegistry and Store
 // layers, so any number of engines sharing one registry and store see one
@@ -50,6 +51,11 @@ type Engine struct {
 	// separate callback vocabulary.
 	tracer *obs.Tracer
 	reg    *obs.Registry
+
+	// hellos memoizes the native hello worlds testStack probes with. It
+	// is a pure function of its key — compiled programs, never site state
+	// — so engines sharing a registry still see one coherent fleet.
+	hellos *helloMemo
 }
 
 func defaultWorkers() int {

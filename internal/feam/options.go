@@ -100,6 +100,7 @@ func New(opts ...Option) *Engine {
 		store:   cfg.store,
 		tracer:  cfg.tracer,
 		reg:     cfg.metrics,
+		hellos:  newHelloMemo(),
 	}
 	e.tracer.AddSink(obs.NewRegistrySink(e.reg))
 	return e

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"feam/internal/obs"
 	"feam/internal/sitemodel"
@@ -39,10 +40,11 @@ func RankSites(desc *BinaryDescription, appBytes []byte, sites []*sitemodel.Site
 // through the determinant ladder, then failed surveys. Ties keep the
 // caller's site order.
 //
-// Sites are assessed by up to Workers() goroutines; work on any single
-// site is serialized through the engine's per-site locks, so the same site
-// may safely appear in concurrent surveys (or be concurrently evaluated by
-// other engine callers holding SiteLock).
+// Sites are assessed by a fixed set of up to Workers() goroutines, each
+// pulling the next unassessed site; work on any single site is serialized
+// through the engine's per-site locks, so the same site may safely appear
+// in concurrent surveys (or be concurrently evaluated by other engine
+// callers holding SiteLock).
 func (e *Engine) RankSites(ctx context.Context, desc *BinaryDescription, appBytes []byte, sites []*sitemodel.Site, opts EvalOptions) []SiteAssessment {
 	workers := e.Workers()
 	out := make([]SiteAssessment, len(sites))
@@ -54,16 +56,23 @@ func (e *Engine) RankSites(ctx context.Context, desc *BinaryDescription, appByte
 			out[i] = e.assessSite(ctx, desc, appBytes, site, opts)
 		}
 	} else {
-		sem := make(chan struct{}, workers)
+		// A fixed set of workers pulls site indices: each worker's stack
+		// grows once through the deep evaluation and is reused for every
+		// site it assesses.
+		var next atomic.Int64
 		var wg sync.WaitGroup
-		for i, site := range sites {
-			wg.Add(1)
-			go func(i int, site *sitemodel.Site) {
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
 				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				out[i] = e.assessSite(ctx, desc, appBytes, site, opts)
-			}(i, site)
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(sites) {
+						return
+					}
+					out[i] = e.assessSite(ctx, desc, appBytes, sites[i], opts)
+				}
+			}()
 		}
 		wg.Wait()
 	}

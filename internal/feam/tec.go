@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"feam/internal/abicheck"
@@ -262,8 +263,7 @@ func testStack(ec *EvalContext, cand *StackInfo, presenceOnly bool) (bool, strin
 	// Native compile test: possible when the stack's compiler is present.
 	if family, ok := toolchain.FamilyFromKey(cand.CompilerFamily); ok {
 		if _, found := toolchain.FindCompiler(site, family); found {
-			rec := stackRecordFromInfo(cand)
-			hello, err := toolchain.CompileHello(rec, site)
+			hello, err := ec.Engine.hellos.get(cand, site)
 			if err == nil {
 				res := runProbe(ec, pb, hello, cand.Key, nil)
 				if !res.Success {
@@ -307,6 +307,63 @@ func stackRecordFromInfo(info *StackInfo) *sitemodel.StackRecord {
 		CompilerVersion: info.CompilerVersion,
 		Prefix:          info.Prefix,
 	}
+}
+
+// helloMemoCap bounds the hello-world memo; a full memo is emptied and
+// refills from the sites still being probed.
+const helloMemoCap = 1024
+
+// helloMemo caches the native hello world testStack compiles for a
+// candidate stack at a site. CompileHello is a pure function of
+// helloKey's fields, so a hit returns the artifact a fresh compile would
+// produce byte for byte. Artifacts are shared and read-only.
+type helloMemo struct {
+	mu sync.Mutex
+	m  map[helloKey]*toolchain.Artifact
+}
+
+// helloKey is every input CompileHello reads: the stack record built by
+// stackRecordFromInfo, and the site's name, architecture, C-library
+// release and OS identity.
+type helloKey struct {
+	stack, impl, implVersion, compiler, compilerVersion string
+	site, glibc, distro, osVersion                      string
+	class                                               elfimg.Class
+	machine                                             elfimg.Machine
+	featureLevel                                        int
+}
+
+func newHelloMemo() *helloMemo {
+	return &helloMemo{m: map[helloKey]*toolchain.Artifact{}}
+}
+
+// get returns the native hello world for cand at site, compiling it on a
+// miss. The compile runs outside the memo's lock.
+func (h *helloMemo) get(cand *StackInfo, site *sitemodel.Site) (*toolchain.Artifact, error) {
+	k := helloKey{
+		stack: cand.Key, impl: cand.Impl, implVersion: cand.ImplVersion,
+		compiler: cand.CompilerFamily, compilerVersion: cand.CompilerVersion,
+		site: site.Name, glibc: site.Glibc.String(),
+		distro: site.OS.Distro, osVersion: site.OS.Version,
+		class: site.Arch.Class, machine: site.Arch.Machine, featureLevel: site.Arch.FeatureLevel,
+	}
+	h.mu.Lock()
+	art, ok := h.m[k]
+	h.mu.Unlock()
+	if ok {
+		return art, nil
+	}
+	art, err := toolchain.CompileHello(stackRecordFromInfo(cand), site)
+	if err != nil {
+		return nil, err
+	}
+	h.mu.Lock()
+	if len(h.m) >= helloMemoCap {
+		clear(h.m)
+	}
+	h.m[k] = art
+	h.mu.Unlock()
+	return art, nil
 }
 
 // loadStackEnv activates a stack in the site environment the way `module
@@ -554,12 +611,7 @@ func commitStage(ec *EvalContext, tmp, stageDir string) error {
 func targetHasLibrary(site *sitemodel.Site, name string, requester *BinaryDescription) bool {
 	dirs := append(envmgmt.SplitPathVar(site.Getenv("LD_LIBRARY_PATH")), site.DefaultLibDirs()...)
 	for _, dir := range dirs {
-		p := dir + "/" + name
-		data, err := site.FS().ReadFileShared(p)
-		if err != nil {
-			continue
-		}
-		f, err := elfimg.Parse(data)
+		f, err := site.FS().ReadELF(dir + "/" + name)
 		if err != nil {
 			continue
 		}

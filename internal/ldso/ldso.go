@@ -13,7 +13,9 @@ package ldso
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
+	"strings"
 
 	"feam/internal/elfimg"
 	"feam/internal/vfs"
@@ -169,24 +171,15 @@ func ResolveBytes(bin []byte, name string, opts Options) (*Resolution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resolve(&Object{Name: name, Path: name, RealPath: name, File: f}, opts)
+	return Resolve(f, name, opts)
 }
 
-// ResolveFile resolves a binary already present on the site filesystem.
-func ResolveFile(p string, opts Options) (*Resolution, error) {
-	data, err := opts.FS.ReadFileShared(p)
-	if err != nil {
-		return nil, err
-	}
-	f, err := elfimg.Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("ldso: %s: %v", p, err)
-	}
-	rp, err := opts.FS.ResolvePath(p)
-	if err != nil {
-		rp = p
-	}
-	return resolve(&Object{Name: p, Path: p, RealPath: rp, File: f}, opts)
+// Resolve resolves an already parsed binary, for callers that hold the
+// parse (the execution simulator checks the image's ISA before loading
+// it). The resolution keeps f as its root's File, so f must not change
+// afterwards.
+func Resolve(f *elfimg.File, name string, opts Options) (*Resolution, error) {
+	return resolve(&Object{Name: name, Path: name, RealPath: name, File: f}, opts)
 }
 
 func resolve(root *Object, opts Options) (*Resolution, error) {
@@ -210,12 +203,7 @@ func resolve(root *Object, opts Options) (*Resolution, error) {
 	// LD_PRELOAD objects load first; their own dependencies join the
 	// closure like anything else.
 	for _, p := range opts.Preload {
-		data, err := opts.FS.ReadFileShared(p)
-		if err != nil {
-			res.Missing = append(res.Missing, Missing{Name: p, RequestedBy: "LD_PRELOAD"})
-			continue
-		}
-		f, err := elfimg.Parse(data)
+		f, err := opts.FS.ReadELF(p)
 		if err != nil || f.Class != root.File.Class || f.Machine != root.File.Machine {
 			res.Missing = append(res.Missing, Missing{Name: p, RequestedBy: "LD_PRELOAD", WrongClass: err == nil})
 			continue
@@ -327,8 +315,10 @@ func checkSymbols(res *Resolution) {
 // class filtering. It returns nil when nothing usable is found; wrongClass
 // reports whether a candidate with the wrong ELF class was encountered.
 func locate(name string, requester, root *Object, opts Options) (obj *Object, wrongClass bool) {
-	var dirs []string
-	dirs = append(dirs, opts.ExtraSearchDirs...)
+	// Search lists are a handful of directories; the buffer keeps this
+	// per-dependency list off the heap.
+	var buf [16]string
+	dirs := append(buf[:0], opts.ExtraSearchDirs...)
 	// DT_RPATH of the requesting object, then of the root (the historical
 	// inheritance rule FEAM-era systems used). A DT_RUNPATH on the
 	// requester disables its RPATH and is searched after LD_LIBRARY_PATH,
@@ -348,14 +338,10 @@ func locate(name string, requester, root *Object, opts Options) (obj *Object, wr
 	dirs = append(dirs, opts.DefaultDirs...)
 
 	for _, dir := range dirs {
-		p := path.Join(dir, name)
-		data, err := opts.FS.ReadFileShared(p)
+		p := joinDir(dir, name)
+		f, err := opts.FS.ReadELF(p)
 		if err != nil {
-			continue
-		}
-		f, err := elfimg.Parse(data)
-		if err != nil {
-			continue // not an ELF (linker script, text stub): keep searching
+			continue // absent, or not an ELF (linker script, text stub): keep searching
 		}
 		if f.Class != root.File.Class || f.Machine != root.File.Machine {
 			wrongClass = true
@@ -368,6 +354,18 @@ func locate(name string, requester, root *Object, opts Options) (obj *Object, wr
 		return &Object{Name: name, Path: p, RealPath: rp, File: f}, false
 	}
 	return nil, wrongClass
+}
+
+// joinDir is path.Join(dir, name), with one concatenation instead of a
+// join and a Clean pass when dir is a plain absolute directory and name a
+// plain file name, as loader search paths and NEEDED entries are.
+func joinDir(dir, name string) string {
+	if len(dir) > 1 && dir[0] == '/' && dir[len(dir)-1] != '/' &&
+		!strings.Contains(dir, "//") && !strings.Contains(dir, "/.") &&
+		name != "" && name != "." && name != ".." && !strings.Contains(name, "/") {
+		return dir + "/" + name
+	}
+	return path.Join(dir, name)
 }
 
 // checkVersions verifies every symbol-version reference in the closure
@@ -388,12 +386,8 @@ func checkVersions(res *Resolution) {
 				// expected, so skip silently here.
 				continue
 			}
-			defs := map[string]bool{}
-			for _, vd := range dep.File.VerDefs {
-				defs[vd] = true
-			}
 			for _, want := range vn.Versions {
-				if !defs[want] {
+				if !slices.Contains(dep.File.VerDefs, want) {
 					res.VersionErrors = append(res.VersionErrors, VersionError{
 						Version: want, Library: vn.File, LibraryPath: dep.Path,
 						RequestedBy: o.Name,

@@ -271,26 +271,39 @@ func TestVersionCheckInDependency(t *testing.T) {
 	}
 }
 
+// TestResolveFile resolves a binary that lives on the site filesystem:
+// the memoized parse from ReadELF feeds Resolve directly, and the root
+// object is that very File.
 func TestResolveFile(t *testing.T) {
 	s := buildSite(t)
 	bin := appBinary([]string{"libc.so.6"}, nil)
 	if err := s.FS().WriteFile("/home/user/a.out", bin); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ResolveFile("/home/user/a.out", optsFor(s))
+	f, err := s.FS().ReadELF("/home/user/a.out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Resolve(f, "/home/user/a.out", optsFor(s))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.OK() {
 		t.Fatalf("resolution failed: %s", res.Summary())
 	}
-	if _, err := ResolveFile("/nope", optsFor(s)); err == nil {
+	if res.Root.File != f || res.Root.Name != "/home/user/a.out" {
+		t.Errorf("root = %+v, want the parsed file under its path", res.Root)
+	}
+	if _, err := Resolve(f, "a.out", Options{}); err == nil {
+		t.Error("resolution without a filesystem should error")
+	}
+	if _, err := s.FS().ReadELF("/nope"); err == nil {
 		t.Error("missing file should error")
 	}
 	if err := s.FS().WriteString("/home/user/script.sh", "#!/bin/sh\n"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResolveFile("/home/user/script.sh", optsFor(s)); err == nil {
+	if _, err := s.FS().ReadELF("/home/user/script.sh"); err == nil {
 		t.Error("non-ELF should error")
 	}
 }

@@ -71,16 +71,23 @@ func leadingDigits(s string) string {
 // V builds a Version from integer components.
 func V(parts ...int) Version { return Version(parts) }
 
-// String renders the dotted form. A nil Version renders as "none".
+// String renders the dotted form. A nil Version renders as "none". The
+// digits are formatted into a stack buffer, so the result string is the
+// only allocation: the C-library determinant formats two versions per
+// evaluated site.
 func (v Version) String() string {
 	if len(v) == 0 {
 		return "none"
 	}
-	b := make([]string, len(v))
+	var buf [32]byte
+	b := buf[:0]
 	for i, n := range v {
-		b[i] = strconv.Itoa(n)
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
 	}
-	return strings.Join(b, ".")
+	return string(b)
 }
 
 // IsZero reports whether the version is absent.

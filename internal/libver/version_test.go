@@ -153,3 +153,43 @@ func TestVersionCompareProperties(t *testing.T) {
 		t.Errorf("transitivity: %v", err)
 	}
 }
+
+func TestVersionString(t *testing.T) {
+	long := make(Version, 20)
+	for i := range long {
+		long[i] = 1000 + i
+	}
+	cases := []struct {
+		v    Version
+		want string
+	}{
+		{nil, "none"},
+		{Version{}, "none"},
+		{V(0), "0"},
+		{V(2, 5), "2.5"},
+		{V(2, 3, 4), "2.3.4"},
+		{V(2, 12, 0), "2.12.0"},
+		{V(1, 7, 123456789), "1.7.123456789"},
+		{V(-1, 2), "-1.2"},
+		// Longer than the stack buffer: the result must still be whole.
+		{long, "1000.1001.1002.1003.1004.1005.1006.1007.1008.1009.1010.1011.1012.1013.1014.1015.1016.1017.1018.1019"},
+	}
+	for _, c := range cases {
+		if got := c.v.String(); got != c.want {
+			t.Errorf("%#v.String() = %q, want %q", []int(c.v), got, c.want)
+		}
+	}
+}
+
+// TestVersionStringAllocs pins String at one allocation, the result
+// string itself.
+func TestVersionStringAllocs(t *testing.T) {
+	v := V(2, 12, 1)
+	var sink string
+	if got := testing.AllocsPerRun(100, func() { sink = v.String() }); got > 1 {
+		t.Errorf("Version.String allocs/op = %v, want <= 1", got)
+	}
+	if sink != "2.12.1" {
+		t.Errorf("String = %q", sink)
+	}
+}

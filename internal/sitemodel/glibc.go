@@ -183,6 +183,3 @@ func baseVerNeed(glibc libver.Version) []string {
 	}
 	return ladder[:1]
 }
-
-// GlibcBannerFor exposes the banner format for tests and the EDC parser.
-func GlibcBannerFor(v libver.Version) string { return glibcBanner(v) }

@@ -18,6 +18,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
+
+	"feam/internal/elfimg"
 )
 
 // FileKind distinguishes node types.
@@ -63,6 +66,17 @@ type node struct {
 	// their caches. Both fields are guarded by FS.stampMu.
 	stampVal   uint64
 	stampEpoch uint64
+	// elf is the parsed-ELF memo of a regular file, filled by the first
+	// ReadELF. File contents never change in place (WriteFile installs a
+	// new node), so the memo is valid for the node's whole life.
+	elf atomic.Pointer[parsedELF]
+}
+
+// parsedELF is one memoized elfimg.Parse result: the file, or the parse
+// failure.
+type parsedELF struct {
+	f   *elfimg.File
+	err error
 }
 
 // FS is an in-memory filesystem rooted at "/". The zero value is not usable;
@@ -419,14 +433,113 @@ func splitPath(p string) []string {
 	return strings.Split(p, "/")
 }
 
-// lookup walks to the node for p. When followLast is true, a symlink in the
-// final position is resolved; intermediate symlinks are always resolved.
+// lookup walks to the node for p and returns it with its canonical path.
+// When followLast is true, a symlink in the final position is resolved;
+// intermediate symlinks are always resolved.
 func (fs *FS) lookup(p string, followLast bool) (*node, string, error) {
+	n, sib, ok, err := fs.walkClean(p, followLast)
+	switch {
+	case !ok:
+		return fs.walkGeneral(p, followLast)
+	case err != nil:
+		return nil, "", err
+	case sib != "":
+		return n, p[:strings.LastIndexByte(p, '/')+1] + sib, nil
+	}
+	return n, p, nil
+}
+
+// lookupNode is lookup(p, true) for callers that need only the node, so a
+// clean path resolves without building its canonical path.
+func (fs *FS) lookupNode(p string) (*node, error) {
+	n, _, ok, err := fs.walkClean(p, true)
+	if !ok {
+		n, _, err = fs.walkGeneral(p, true)
+	}
+	return n, err
+}
+
+// walkGeneral cleans p and walks it, resolving every symlink on the way.
+func (fs *FS) walkGeneral(p string, followLast bool) (*node, string, error) {
 	cp, err := clean(p)
 	if err != nil {
 		return nil, "", err
 	}
 	return fs.lookupFrom(fs.root, "/", splitPath(cp), followLast, 0)
+}
+
+// walkClean resolves a clean absolute path — no empty, "." or ".."
+// component and no trailing slash — without allocating. With followLast it
+// follows a final symlink whose target is a plain name in the same
+// directory, the libfoo.so.1 -> libfoo.so.1.2.3 layout of every installed
+// library, and returns that name as sib. Anything else (an unclean or
+// relative path, an intermediate symlink, another kind of link target)
+// reports ok=false, and the caller uses the general walker, which gives
+// the same answer. With ok=true, err is the walk's final error.
+func (fs *FS) walkClean(p string, followLast bool) (n *node, sib string, ok bool, err error) {
+	if !isCleanAbs(p) {
+		return nil, "", false, nil
+	}
+	cur := fs.root
+	for rest := p[1:]; rest != ""; {
+		name := rest
+		last := true
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			name, rest, last = rest[:i], rest[i+1:], false
+		} else {
+			rest = ""
+		}
+		if cur.kind != KindDir {
+			return nil, "", true, ErrNotDir
+		}
+		child, found := cur.children[name]
+		if !found {
+			return nil, "", true, ErrNotExist
+		}
+		if child.kind == KindSymlink && (!last || followLast) {
+			if !last || !isPlainName(child.target) {
+				return nil, "", false, nil
+			}
+			target, found := cur.children[child.target]
+			if !found {
+				return nil, "", true, ErrNotExist
+			}
+			if target.kind == KindSymlink {
+				return nil, "", false, nil
+			}
+			return target, child.target, true, nil
+		}
+		cur = child
+	}
+	return cur, "", true, nil
+}
+
+// isCleanAbs reports whether p is absolute and already in path.Clean form.
+func isCleanAbs(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	if p == "/" {
+		return true
+	}
+	start := 1
+	for i := 1; i <= len(p); i++ {
+		if i < len(p) && p[i] != '/' {
+			continue
+		}
+		switch p[start:i] {
+		case "", ".", "..":
+			return false
+		}
+		start = i + 1
+	}
+	return true
+}
+
+// isPlainName reports whether s is one path component naming a directory
+// entry: non-empty, slash-free, and neither "." nor "..".
+func isPlainName(s string) bool {
+	return s != "" && s != "." && s != ".." && strings.IndexByte(s, '/') < 0
 }
 
 func (fs *FS) lookupFrom(cur *node, curPath string, parts []string, followLast bool, depth int) (*node, string, error) {
@@ -580,30 +693,60 @@ func (fs *FS) WriteString(p, content string) error { return fs.WriteFile(p, []by
 // multi-megabyte libraries thousands of times); everything else should use
 // ReadFile.
 func (fs *FS) ReadFileShared(p string) ([]byte, error) {
-	if err := fs.opErr("read", p); err != nil {
-		return nil, err
-	}
-	n, _, err := fs.lookup(p, true)
+	n, err := fs.fileNode(p)
 	if err != nil {
-		return nil, &PathError{Op: "read", Path: p, Err: err}
-	}
-	if n.kind != KindFile {
-		return nil, &PathError{Op: "read", Path: p, Err: ErrIsDir}
+		return nil, err
 	}
 	return n.data, nil
 }
 
-// ReadFile returns the contents of the file at p, following symlinks.
-func (fs *FS) ReadFile(p string) ([]byte, error) {
+// fileNode is the common head of every file read: one "read" fault-hook
+// call, then resolution of p to a regular file.
+func (fs *FS) fileNode(p string) (*node, error) {
 	if err := fs.opErr("read", p); err != nil {
 		return nil, err
 	}
-	n, _, err := fs.lookup(p, true)
+	n, err := fs.lookupNode(p)
 	if err != nil {
 		return nil, &PathError{Op: "read", Path: p, Err: err}
 	}
 	if n.kind != KindFile {
 		return nil, &PathError{Op: "read", Path: p, Err: ErrIsDir}
+	}
+	return n, nil
+}
+
+// ReadELF returns the parsed ELF image of the regular file at p, following
+// symlinks. The parse is memoized on the file: the first call runs
+// elfimg.Parse, and every later call returns the same *elfimg.File (or the
+// same parse failure) until the file is rewritten — WriteFile installs a
+// new file, while SetAttr and Rename keep the memo. The returned File is
+// shared and must be treated as read-only, like ReadFileShared's bytes.
+// The fault hook sees one "read" per call, memoized or not.
+func (fs *FS) ReadELF(p string) (*elfimg.File, error) {
+	n, err := fs.fileNode(p)
+	if err != nil {
+		return nil, err
+	}
+	m := n.elf.Load()
+	if m == nil {
+		f, err := elfimg.Parse(n.data)
+		m = &parsedELF{f: f, err: err}
+		if !n.elf.CompareAndSwap(nil, m) {
+			m = n.elf.Load()
+		}
+	}
+	if m.err != nil {
+		return nil, &PathError{Op: "parse", Path: p, Err: m.err}
+	}
+	return m.f, nil
+}
+
+// ReadFile returns the contents of the file at p, following symlinks.
+func (fs *FS) ReadFile(p string) ([]byte, error) {
+	n, err := fs.fileNode(p)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, len(n.data))
 	copy(out, n.data)
@@ -777,13 +920,13 @@ func infoFor(n *node, p string) FileInfo {
 
 // Exists reports whether p resolves to an existing entry.
 func (fs *FS) Exists(p string) bool {
-	_, _, err := fs.lookup(p, true)
+	_, err := fs.lookupNode(p)
 	return err == nil
 }
 
 // IsDir reports whether p resolves to a directory.
 func (fs *FS) IsDir(p string) bool {
-	n, _, err := fs.lookup(p, true)
+	n, err := fs.lookupNode(p)
 	return err == nil && n.kind == KindDir
 }
 
@@ -840,7 +983,7 @@ func (fs *FS) SetAttr(p, key, value string) error {
 // Attrs returns a copy of all extended attributes on the entry at p
 // (following symlinks); nil when the entry is missing or has none.
 func (fs *FS) Attrs(p string) map[string]string {
-	n, _, err := fs.lookup(p, true)
+	n, err := fs.lookupNode(p)
 	if err != nil || len(n.attrs) == 0 {
 		return nil
 	}
@@ -951,50 +1094,4 @@ func (fs *FS) Glob(root, pattern string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// CopyFile copies a regular file within the filesystem.
-func (fs *FS) CopyFile(src, dst string) error {
-	data, err := fs.ReadFile(src)
-	if err != nil {
-		return err
-	}
-	return fs.WriteFile(dst, data)
-}
-
-// CopyFileTo copies a regular file from this filesystem into another one,
-// the vfs equivalent of staging a shared-library copy at a target site.
-func (fs *FS) CopyFileTo(other *FS, src, dst string) error {
-	data, err := fs.ReadFile(src)
-	if err != nil {
-		return err
-	}
-	if err := other.WriteFile(dst, data); err != nil {
-		return err
-	}
-	// Extended attributes travel with the file: the hidden ground-truth
-	// metadata of a shared library is a property of its bytes.
-	if n, _, err := fs.lookup(src, true); err == nil && n.attrs != nil {
-		for k, v := range n.attrs {
-			if err := other.SetAttr(dst, k, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// TreeSize returns the total byte size of all regular files under root.
-func (fs *FS) TreeSize(root string) (int, error) {
-	total := 0
-	err := fs.Walk(root, func(p string, info FileInfo) error {
-		if info.Kind == KindFile {
-			total += info.Size
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return total, nil
 }

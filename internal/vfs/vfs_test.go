@@ -284,46 +284,6 @@ func TestAttrs(t *testing.T) {
 	}
 }
 
-func TestCopyFileTo(t *testing.T) {
-	src, dst := New(), New()
-	if err := src.WriteString("/lib/libg2c.so.0", "fortran"); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.SetAttr("/lib/libg2c.so.0", "abi-epoch", "7"); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.CopyFileTo(dst, "/lib/libg2c.so.0", "/feam/libs/libg2c.so.0"); err != nil {
-		t.Fatal(err)
-	}
-	data, err := dst.ReadFile("/feam/libs/libg2c.so.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "fortran" {
-		t.Errorf("copied content = %q", data)
-	}
-	if v, ok := dst.Attr("/feam/libs/libg2c.so.0", "abi-epoch"); !ok || v != "7" {
-		t.Error("extended attributes did not travel with the copy")
-	}
-}
-
-func TestTreeSize(t *testing.T) {
-	fs := New()
-	if err := fs.WriteFile("/a/x", make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("/a/b/y", make([]byte, 50)); err != nil {
-		t.Fatal(err)
-	}
-	n, err := fs.TreeSize("/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 150 {
-		t.Errorf("TreeSize = %d, want 150", n)
-	}
-}
-
 func TestRelativePathsAreAbsolutized(t *testing.T) {
 	fs := New()
 	if err := fs.WriteString("tmp/x", "1"); err != nil {
@@ -415,39 +375,6 @@ func TestAttrsMap(t *testing.T) {
 	m["a"] = "tampered"
 	if v, _ := fs.Attr("/f", "a"); v != "1" {
 		t.Error("Attrs aliases internal storage")
-	}
-}
-
-func TestCopyFile(t *testing.T) {
-	fs := New()
-	if err := fs.WriteString("/src/lib.so", "payload"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.CopyFile("/src/lib.so", "/dst/lib.so"); err != nil {
-		t.Fatal(err)
-	}
-	data, err := fs.ReadFile("/dst/lib.so")
-	if err != nil || string(data) != "payload" {
-		t.Errorf("copy = %q, %v", data, err)
-	}
-	if err := fs.CopyFile("/missing", "/x"); err == nil {
-		t.Error("copying a missing file should fail")
-	}
-}
-
-func TestCopyFileToErrors(t *testing.T) {
-	src, dst := New(), New()
-	if err := src.CopyFileTo(dst, "/missing", "/x"); err == nil {
-		t.Error("missing source accepted")
-	}
-	if err := src.WriteString("/f", "x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.MkdirAll("/target"); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.CopyFileTo(dst, "/f", "/target"); err == nil {
-		t.Error("copy onto a directory accepted")
 	}
 }
 
