@@ -71,22 +71,25 @@ scenario:
 
 # Bounded fuzzing smoke run over the attacker-facing parsers: the ELF
 # reader, the soname/symbol-version parsers, the scenario YAML loader,
-# and the ABI symbol-index builder. The go tool accepts one -fuzz
-# pattern per invocation, hence the separate runs.
+# the ABI symbol-index builder, and the /v1/predict body decoder (checked
+# against encoding/json plus encoding/base64). The go tool accepts one
+# -fuzz pattern per invocation, hence the separate runs.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseSoname -fuzztime $(FUZZTIME) ./internal/libver/
 	$(GO) test -run xxx -fuzz FuzzSymverRequirements -fuzztime $(FUZZTIME) ./internal/libver/
 	$(GO) test -run xxx -fuzz FuzzParseELF -fuzztime $(FUZZTIME) ./internal/elfimg/
 	$(GO) test -run xxx -fuzz FuzzScenarioYAML -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run xxx -fuzz FuzzSymbolIndex -fuzztime $(FUZZTIME) ./internal/abicheck/
+	$(GO) test -run xxx -fuzz FuzzPredictBody -fuzztime $(FUZZTIME) ./internal/server/
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
 # Benchmark packages: the paper-table suite at the root (including the
-# PR9 survey-throughput and zero-copy View benchmarks) plus the PR6
-# layering benchmarks (registry hit rate, store commit latency).
-BENCH_PKGS = . ./internal/registry ./internal/store
+# survey-throughput and zero-copy View benchmarks), the layering
+# benchmarks (registry hit rate, store commit latency) and the in-process
+# /v1/predict upload benchmark.
+BENCH_PKGS = . ./internal/registry ./internal/store ./internal/server
 
 # Full benchmark run rendered to committed JSON. BENCH_PR10.json carries
 # the ABI-resolve (cold vs registry-cached, 0-alloc streaming resolve)

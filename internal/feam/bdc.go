@@ -101,15 +101,6 @@ func describeBytes(data []byte, name, hash string) (*BinaryDescription, error) {
 	return desc, nil
 }
 
-// DescribeFile describes a binary on a site's filesystem.
-func DescribeFile(site *sitemodel.Site, path string) (*BinaryDescription, error) {
-	data, err := site.FS().ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading %s: %w", ErrBadBinary, path, err)
-	}
-	return DescribeBytes(data, path)
-}
-
 // parseComments extracts build provenance from .comment strings such as
 // "GCC: (GNU) 4.1.2" and "built on CentOS 5.6 (glibc 2.5)".
 func parseComments(desc *BinaryDescription, comments []string) {

@@ -10,29 +10,6 @@ import (
 	"feam/internal/workload"
 )
 
-func TestDescribeFile(t *testing.T) {
-	tb := sharedTestbed(t)
-	india := tb.ByName["india"]
-	rec := india.FindStack("openmpi-1.4-gnu")
-	art, err := toolchain.Compile(workload.Find("is"), rec, india)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := india.FS().WriteFile("/home/user/describe-me", art.Bytes); err != nil {
-		t.Fatal(err)
-	}
-	desc, err := feam.DescribeFile(india, "/home/user/describe-me")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if desc.Name != "/home/user/describe-me" || desc.MPIImpl != "openmpi" {
-		t.Errorf("desc = %+v", desc)
-	}
-	if _, err := feam.DescribeFile(india, "/no/such/file"); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
 func TestBundleFindLibraryCompatibility(t *testing.T) {
 	bundle := &feam.Bundle{
 		Libs: []*feam.LibraryCopy{

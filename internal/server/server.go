@@ -4,8 +4,8 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -34,7 +34,8 @@ type Config struct {
 	// Workers bounds batch fan-out (0 = the engine default).
 	Workers int
 	// MaxBinaryBytes caps the decoded size of a request's binary
-	// (0 = DefaultMaxBinaryBytes).
+	// (0 = DefaultMaxBinaryBytes); a /v1/predict body may be at most twice
+	// this.
 	MaxBinaryBytes int64
 	// TraceCapacity sizes the tracer ring (0 = the tracer default).
 	TraceCapacity int
@@ -233,7 +234,8 @@ const (
 	CodeBadRequest = "bad_request"
 	// CodeNotFound marks references to sites the fleet does not serve.
 	CodeNotFound = "not_found"
-	// CodeTooLarge marks binaries over the configured size cap.
+	// CodeTooLarge marks binaries, or request bodies, over their size
+	// caps.
 	CodeTooLarge = "payload_too_large"
 	// CodeUpstream marks prediction or survey work that failed behind the
 	// API (engine faults, batch faults).
@@ -316,18 +318,24 @@ type batchResponse struct {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Counter("http_predict_requests").Add(1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBinaryBytes()*2))
-	if err != nil {
+	limit := s.maxBinaryBytes() * 2
+	body, err := readBody(w, r, limit)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
+		return
+	case err != nil:
 		s.fail(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	var pb predictBody
-	if err := json.Unmarshal(body, &pb); err != nil {
+	pb, bin, err := decodePredictBody(body)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if len(pb.Requests) == 0 {
-		resp, apiErr, status := s.predictOne(r.Context(), pb.PredictRequest)
+		resp, apiErr, status := s.predictOne(r.Context(), pb.PredictRequest, bin)
 		var data any
 		if resp != nil {
 			data = resp // keep a nil *PredictResponse out of the envelope
@@ -354,7 +362,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			var resp *PredictResponse
-			resp, results[i].Error, statuses[i] = s.predictOne(r.Context(), req)
+			resp, results[i].Error, statuses[i] = s.predictOne(r.Context(), req, nil)
 			results[i].Data = resp
 		}(i, req)
 	}
@@ -372,10 +380,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.replyEnvelope(w, status, batchResponse{Results: results}, nil)
 }
 
-// predictOne answers one prediction through the coalescer. The response is
-// nil on failures that produced nothing; a partial prediction (determinant
-// trail up to the fault) comes back beside its error.
-func (s *Server) predictOne(ctx context.Context, req PredictRequest) (*PredictResponse, *APIError, int) {
+// predictOne answers one prediction through the coalescer. bin is the
+// request's binary when the body decoder already decoded it, nil
+// otherwise. The response is nil on failures that produced nothing; a
+// partial prediction (determinant trail up to the fault) comes back beside
+// its error.
+func (s *Server) predictOne(ctx context.Context, req PredictRequest, bin []byte) (*PredictResponse, *APIError, int) {
 	site, ok := s.tb.ByName[req.Site]
 	if !ok {
 		return nil, &APIError{Code: CodeNotFound, Message: fmt.Sprintf("unknown site %q", req.Site)}, http.StatusNotFound
@@ -391,14 +401,10 @@ func (s *Server) predictOne(ctx context.Context, req PredictRequest) (*PredictRe
 		if err != nil {
 			return nil, &APIError{Code: CodeBadRequest, Message: "binary_b64: " + err.Error()}, http.StatusBadRequest
 		}
-		if int64(len(decoded)) > s.maxBinaryBytes() {
-			return nil, &APIError{Code: CodeTooLarge, Message: fmt.Sprintf("binary exceeds %d bytes", s.maxBinaryBytes())}, http.StatusRequestEntityTooLarge
-		}
-		name := req.Name
-		if name == "" {
-			name = "app"
-		}
-		evalReq = feam.EvalRequest{Binary: decoded, BinaryName: name, Site: site}
+		bin = decoded
+	}
+	if int64(len(bin)) > s.maxBinaryBytes() {
+		return nil, &APIError{Code: CodeTooLarge, Message: fmt.Sprintf("binary exceeds %d bytes", s.maxBinaryBytes())}, http.StatusRequestEntityTooLarge
 	}
 	if req.Probe {
 		evalReq.Options.Runner = s.runner
@@ -406,6 +412,20 @@ func (s *Server) predictOne(ctx context.Context, req PredictRequest) (*PredictRe
 
 	s.predicting.Add(1)
 	defer s.predicting.Done()
+	if bin != nil {
+		name := req.Name
+		if name == "" {
+			name = "app"
+		}
+		// Describing here, outside the site lock, hashes an upload once:
+		// the coalescer keys on the description's content hash and
+		// Predict evaluates the description it is handed.
+		desc, err := s.eng.Describe(ctx, bin, name)
+		if err != nil {
+			return nil, &APIError{Code: CodeUpstream, Message: err.Error()}, http.StatusBadGateway
+		}
+		evalReq.Binary, evalReq.Desc = bin, desc
+	}
 	pred, coalesced, err := s.co.Predict(ctx, evalReq)
 	resp := &PredictResponse{Site: req.Site, Coalesced: coalesced}
 	if coalesced {

@@ -435,26 +435,6 @@ func (s *Site) FindStack(key string) *StackRecord {
 	return nil
 }
 
-// StackByPrefix returns the registered stack installed under prefix, or nil.
-func (s *Site) StackByPrefix(prefix string) *StackRecord {
-	for _, r := range s.Stacks {
-		if r.Prefix == prefix {
-			return r
-		}
-	}
-	return nil
-}
-
-// HasInterconnect reports whether the site has the named network.
-func (s *Site) HasInterconnect(name string) bool {
-	for _, ic := range s.Interconnects {
-		if ic == name {
-			return true
-		}
-	}
-	return false
-}
-
 // EnvTool returns the site's user-environment management tool, if any
 // (Environment Modules preferred, then SoftEnv), via the same detection a
 // user would perform.

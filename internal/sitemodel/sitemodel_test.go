@@ -169,20 +169,6 @@ func TestStackRegistry(t *testing.T) {
 	if s.FindStack("nope") != nil {
 		t.Error("FindStack found a ghost")
 	}
-	if s.StackByPrefix("/opt/openmpi-1.4-gnu") != rec {
-		t.Error("StackByPrefix failed")
-	}
-	if s.StackByPrefix("/opt/other") != nil {
-		t.Error("StackByPrefix found a ghost")
-	}
-}
-
-func TestHasInterconnect(t *testing.T) {
-	s := testSite()
-	s.Interconnects = []string{"ethernet", "infiniband"}
-	if !s.HasInterconnect("infiniband") || s.HasInterconnect("myrinet") {
-		t.Error("HasInterconnect broken")
-	}
 }
 
 func TestInstallCLibrary(t *testing.T) {
