@@ -20,16 +20,10 @@ import (
 // binaryKey is the top-level member the fast path extracts.
 const binaryKey = "binary_b64"
 
-// readBody reads the whole request body into one buffer. A Content-Length
-// sizes the buffer up front, capped by limit; without one the buffer
-// doubles as it fills. A body over limit bytes fails with
-// *http.MaxBytesError.
+// readBody reads the whole request body into one buffer, which grows only
+// as bytes arrive. A body over limit bytes fails with *http.MaxBytesError.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 {
-		// The spare MinRead lets ReadFrom see EOF without growing.
-		buf.Grow(int(min(n, limit)) + bytes.MinRead)
-	}
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	return buf.Bytes(), err
 }

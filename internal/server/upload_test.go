@@ -63,6 +63,22 @@ func TestPredictTooLarge(t *testing.T) {
 	}
 }
 
+// TestReadBodyIgnoresContentLength: the body buffer grows with the bytes
+// that arrive, not with the length a client declares, so headers alone
+// cannot make the server allocate up to the body cap.
+func TestReadBodyIgnoresContentLength(t *testing.T) {
+	const limit, sent = 16 << 20, `{"site":"india"}`
+	r := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(sent))
+	r.ContentLength = limit
+	body, err := readBody(httptest.NewRecorder(), r, limit)
+	if err != nil || string(body) != sent {
+		t.Fatalf("readBody = %q, %v; want %q", body, err, sent)
+	}
+	if cap(body) > 64<<10 {
+		t.Fatalf("readBody buffer cap = %d for a %d-byte body declared as %d bytes", cap(body), len(body), limit)
+	}
+}
+
 // describeLog records, for every describe span, the BDC cache outcome it
 // reported ("miss", or "hit/" plus the source).
 type describeLog struct {
