@@ -466,6 +466,30 @@ func fleetTestbed(b *testing.B) *testbed.Testbed {
 	return fleetTB
 }
 
+// BenchmarkBuildFleet measures building the 120-site mixed-ISA fleet from
+// the scenario corpus: every site's filesystem, plus the fleet's one
+// store of library images, in which each distinct image is built once.
+// With -benchmem its B/op column is what a fleet costs to construct.
+func BenchmarkBuildFleet(b *testing.B) {
+	data, err := os.ReadFile("testdata/scenarios/isa-mix.yaml")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := scenario.LoadFleet(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sites := 0
+	for i := 0; i < b.N; i++ {
+		tb, err := scenario.BuildFleet(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sites += len(tb.Sites)
+	}
+	b.ReportMetric(float64(sites)/b.Elapsed().Seconds(), "sites/s")
+}
+
 // BenchmarkSurveyFleet measures EDC survey throughput over the 120-site
 // mixed-ISA fleet from the scenario corpus. The cold variant surveys the
 // whole fleet with a fresh engine every iteration. The incremental variant

@@ -3,6 +3,7 @@ package elfimg
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // File is the parsed view of an ELF image — the metadata FEAM's Binary
@@ -95,6 +96,34 @@ func Parse(data []byte) (*File, error) {
 		return nil, err
 	}
 	return v.Materialize(), nil
+}
+
+// ParseMemo memoizes the parse of one image whose bytes never change: the
+// first Parse runs the package-level Parse, and every later call, from any
+// goroutine, returns the same *File or the same failure. The File is
+// shared and must be treated as read-only. The zero value is ready to use.
+type ParseMemo struct {
+	p atomic.Pointer[parsed]
+}
+
+// parsed is one memoized Parse result: the file, or the parse failure.
+type parsed struct {
+	f   *File
+	err error
+}
+
+// Parse returns the memoized parse of data, parsing it on the first call.
+// Every call on one memo must pass the same bytes.
+func (m *ParseMemo) Parse(data []byte) (*File, error) {
+	r := m.p.Load()
+	if r == nil {
+		f, err := Parse(data)
+		r = &parsed{f: f, err: err}
+		if !m.p.CompareAndSwap(nil, r) {
+			r = m.p.Load()
+		}
+	}
+	return r.f, r.err
 }
 
 // Materialize copies the View out into a File that owns its memory.

@@ -694,9 +694,6 @@ func (v *View) VerNeeds(fn func(entry int, version []byte) bool) {
 	}
 }
 
-// VerDefCount returns the number of verdef entries.
-func (v *View) VerDefCount() int { return len(v.verDefs) }
-
 // VerDefs walks the defined version names in table order until fn
 // returns false.
 func (v *View) VerDefs(fn func(version []byte) bool) {
@@ -791,20 +788,6 @@ func (v *View) DynSymbols(fn func(sym SymbolRef) bool) {
 			return
 		}
 	}
-}
-
-// DynSymbolCount returns the number of dynamic symbol slots (including
-// slot 0 and unnamed slots, which the walkers skip), or 0 when the image
-// carries no symbol table.
-func (v *View) DynSymbolCount() int {
-	if v.dynsym.size == 0 {
-		return 0
-	}
-	syment := uint64(24)
-	if v.cls == Class32 {
-		syment = 16
-	}
-	return int(v.dynsym.size / syment)
 }
 
 // Imports walks the undefined (imported) dynamic symbols only, in table

@@ -29,7 +29,6 @@ import (
 	"strings"
 	"time"
 
-	"feam/internal/elfimg"
 	"feam/internal/ldso"
 	"feam/internal/libver"
 	"feam/internal/sitemodel"
@@ -181,7 +180,7 @@ func (s *Simulator) runOnce(req Request, attempt int) (res Result) {
 	res.RunTime = runTimeFor(art)
 
 	// 1. ISA / word size.
-	f, err := elfimg.Parse(art.Bytes)
+	f, err := art.ELF()
 	if err != nil {
 		res.Class = FailISA
 		res.Detail = "not an executable image: " + err.Error()

@@ -165,13 +165,6 @@ func (s *Script) Injected() int {
 	return s.injected
 }
 
-// Remaining returns how many queue entries (passes and faults) are left.
-func (s *Script) Remaining() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
 // Hook adapts an Injector to the vfs operation-hook signature
 // (vfs.FS.SetOpHook), binding the installer's ctx into every hook call —
 // vfs operations carry no context of their own. A nil injector clears

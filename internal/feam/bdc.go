@@ -132,9 +132,10 @@ type LibraryCopy struct {
 	Name string
 	// OriginPath is where the copy was found at the source site.
 	OriginPath string
-	// Data is the library image. It shares its backing array with the
-	// source site's stored file (vfs never mutates stored bytes in place,
-	// and staging's WriteFile copies), so it is read-only.
+	// Data is the library image. It aliases the source site's stored
+	// blob, which other sites of its fleet may hold too (stored bytes
+	// never change in place, and staging's WriteFile copies), so it is
+	// read-only.
 	Data []byte
 	// Attrs preserves the file's extended attributes so a staged copy is
 	// byte-for-byte (and metadata-for-metadata) identical to the original.

@@ -87,6 +87,14 @@ func (s CoalescerStats) HitRate() float64 {
 // than inheriting the cancellation — the leader's ctx is not the
 // follower's.
 func (c *Coalescer) Predict(ctx context.Context, req EvalRequest) (pred *Prediction, coalesced bool, err error) {
+	if req.Site != nil && req.Desc == nil && req.Binary != nil {
+		// Describe here, outside the site lock: the flight key is the
+		// description's content hash and the leader evaluates the
+		// description, so the binary is hashed once per request.
+		if req.Desc, err = c.eng.describeBinary(ctx, req); err != nil {
+			return nil, false, err
+		}
+	}
 	key, ok := c.keyOf(req)
 	if !ok {
 		// No binary identity to coalesce on; let Predict produce its
@@ -150,8 +158,6 @@ func (c *Coalescer) keyOf(req EvalRequest) (flightKey, bool) {
 	switch {
 	case req.Desc != nil && req.Desc.ContentHash != "":
 		binHash = req.Desc.ContentHash
-	case req.Binary != nil:
-		binHash = contentHash(req.Binary)
 	case req.Options.Bundle != nil && req.Options.Bundle.App != nil:
 		binHash = req.Options.Bundle.App.ContentHash
 	default:

@@ -158,3 +158,39 @@ func TestCoalescerFollowerHonorsOwnContext(t *testing.T) {
 		t.Errorf("leader err = %v", err)
 	}
 }
+
+// TestCoalescerDescribesBinaryOnce: a request that carries only Binary is
+// described exactly once, and before its flight takes the site lock, so
+// the binary is hashed once and never under the lock.
+func TestCoalescerDescribesBinaryOnce(t *testing.T) {
+	tb := sharedTestbed(t)
+	site := tb.ByName["india"]
+	eng := feam.New()
+	co := feam.NewCoalescer(eng)
+	describes := eng.Metrics().Histogram(obs.OpDescribe)
+
+	lock := eng.SiteLock(site.Name)
+	lock.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := co.Predict(context.Background(), feam.EvalRequest{
+			Binary: plainBinary(), BinaryName: "app.describe-once", Site: site,
+		})
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for describes.Count() == 0 {
+		if time.Now().After(deadline) {
+			lock.Unlock()
+			t.Fatal("the request was not described while the site lock was held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	lock.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := describes.Count(); got != 1 {
+		t.Errorf("describe spans = %d, want 1", got)
+	}
+}

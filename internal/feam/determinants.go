@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"feam/internal/elfimg"
 	"feam/internal/obs"
 	"feam/internal/sitemodel"
 )
@@ -29,6 +30,9 @@ type EvalContext struct {
 	Opts     *EvalOptions
 	Pred     *Prediction
 
+	// appELF is AppBytes already parsed, shared and read-only; nil when
+	// the caller did not parse it.
+	appELF *elfimg.File
 	// span is the current parent span — the running determinant's during
 	// ladder evaluation, the staging transaction's inside stagePlan. Probe
 	// attempts, staging operations, and retry events attach under it.
@@ -148,17 +152,25 @@ func (SharedLibsEvaluator) Determinant() Determinant { return DetSharedLibs }
 
 func (s SharedLibsEvaluator) Evaluate(ec *EvalContext) error {
 	pred, site, opts := ec.Pred, ec.Site, ec.Opts
-	probe := ec.AppBytes
-	if probe == nil {
-		img, err := syntheticImage(ec.Desc)
+	app := ec.appELF
+	if app == nil {
+		probe := ec.AppBytes
+		if probe == nil {
+			img, err := syntheticImage(ec.Desc)
+			if err != nil {
+				return err
+			}
+			probe = img
+		}
+		f, err := elfimg.Parse(probe)
 		if err != nil {
 			return err
 		}
-		probe = img
+		app = f
 	}
 	snap := site.SnapshotEnv()
 	loadStackEnv(site, pred.SelectedStack)
-	missing, err := MissingLibraries(site, probe, ec.Desc.Name, nil)
+	missing, err := MissingLibraries(site, app, ec.Desc.Name)
 	site.RestoreEnv(snap)
 	if err != nil {
 		return err

@@ -346,15 +346,15 @@ func parseCompilerVersionField(line string) (string, bool) {
 	return "", false
 }
 
-// MissingLibraries runs the EDC's ldd-equivalent check for a described
-// binary under the site's current environment (plus optional staged
-// directories), returning the DT_NEEDED names that cannot be resolved.
-func MissingLibraries(site *sitemodel.Site, binary []byte, name string, extraDirs []string) ([]string, error) {
-	resolution, err := ldso.ResolveBytes(binary, name, ldso.Options{
-		FS:              site.FS(),
-		LibraryPath:     envmgmt.SplitPathVar(site.Getenv("LD_LIBRARY_PATH")),
-		DefaultDirs:     site.DefaultLibDirs(),
-		ExtraSearchDirs: extraDirs,
+// MissingLibraries runs the EDC's ldd-equivalent check for a parsed
+// binary under the site's current environment, returning the DT_NEEDED
+// names that cannot be resolved. bin is only read, so one parse may serve
+// many sites.
+func MissingLibraries(site *sitemodel.Site, bin *elfimg.File, name string) ([]string, error) {
+	resolution, err := ldso.Resolve(bin, name, ldso.Options{
+		FS:          site.FS(),
+		LibraryPath: envmgmt.SplitPathVar(site.Getenv("LD_LIBRARY_PATH")),
+		DefaultDirs: site.DefaultLibDirs(),
 	})
 	if err != nil {
 		return nil, err

@@ -246,16 +246,21 @@ func (e *Engine) InvalidateSite(name string) {
 // alongside the error, so callers ranking many sites can keep the trail
 // for diagnosis instead of discarding the whole assessment.
 func (e *Engine) Evaluate(ctx context.Context, desc *BinaryDescription, appBytes []byte, env *EnvironmentDescription, site *sitemodel.Site, opts EvalOptions) (*Prediction, error) {
-	if desc == nil || env == nil || site == nil {
-		return nil, fmt.Errorf("%w: Evaluate requires a description, environment, and site", ErrNoEnvironment)
-	}
-	return e.Predict(ctx, EvalRequest{
+	return e.evaluate(ctx, EvalRequest{
 		Desc:    desc,
 		Binary:  appBytes,
 		Env:     env,
 		Site:    site,
 		Options: opts,
 	})
+}
+
+// evaluate is Evaluate for a request that may carry the parsed binary.
+func (e *Engine) evaluate(ctx context.Context, req EvalRequest) (*Prediction, error) {
+	if req.Desc == nil || req.Env == nil || req.Site == nil {
+		return nil, fmt.Errorf("%w: Evaluate requires a description, environment, and site", ErrNoEnvironment)
+	}
+	return e.Predict(ctx, req)
 }
 
 // compile-time proof that the production registry satisfies the engine's

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"feam/internal/elfimg"
 	"feam/internal/obs"
 	"feam/internal/sitemodel"
 )
@@ -31,6 +32,20 @@ type EvalRequest struct {
 	Site *sitemodel.Site
 	// Options configures the evaluation.
 	Options EvalOptions
+
+	// appELF is Binary already parsed, read-only; nil parses Binary
+	// where it is needed.
+	appELF *elfimg.File
+}
+
+// describeBinary describes req.Binary through the memoized BDC under
+// req.BinaryName, or "a.out" when the request names none.
+func (e *Engine) describeBinary(ctx context.Context, req EvalRequest) (*BinaryDescription, error) {
+	name := req.BinaryName
+	if name == "" {
+		name = "a.out"
+	}
+	return e.Describe(ctx, req.Binary, name)
 }
 
 // Predict runs the Target Evaluation Component for one request: each
@@ -56,11 +71,7 @@ func (e *Engine) Predict(ctx context.Context, req EvalRequest) (*Prediction, err
 	if desc == nil {
 		switch {
 		case req.Binary != nil:
-			name := req.BinaryName
-			if name == "" {
-				name = "a.out"
-			}
-			d, err := e.Describe(ctx, req.Binary, name)
+			d, err := e.describeBinary(ctx, req)
 			if err != nil {
 				return nil, err
 			}
@@ -113,6 +124,7 @@ func (e *Engine) Predict(ctx context.Context, req EvalRequest) (*Prediction, err
 		Engine:   e,
 		Desc:     desc,
 		AppBytes: req.Binary,
+		appELF:   req.appELF,
 		Env:      env,
 		Site:     req.Site,
 		Opts:     &opts,

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"feam/internal/elfimg"
 	"feam/internal/obs"
 	"feam/internal/sitemodel"
 )
@@ -46,6 +47,13 @@ func RankSites(desc *BinaryDescription, appBytes []byte, sites []*sitemodel.Site
 // in concurrent surveys (or be concurrently evaluated by other engine
 // callers holding SiteLock).
 func (e *Engine) RankSites(ctx context.Context, desc *BinaryDescription, appBytes []byte, sites []*sitemodel.Site, opts EvalOptions) []SiteAssessment {
+	// Every site's shared-library check resolves the same binary: parse
+	// it once here rather than at each site. A parse failure is left to
+	// each site's own check to report.
+	var appELF *elfimg.File
+	if appBytes != nil {
+		appELF, _ = elfimg.Parse(appBytes)
+	}
 	workers := e.Workers()
 	out := make([]SiteAssessment, len(sites))
 	if workers > len(sites) {
@@ -53,7 +61,7 @@ func (e *Engine) RankSites(ctx context.Context, desc *BinaryDescription, appByte
 	}
 	if workers <= 1 {
 		for i, site := range sites {
-			out[i] = e.assessSite(ctx, desc, appBytes, site, opts)
+			out[i] = e.assessSite(ctx, desc, appBytes, appELF, site, opts)
 		}
 	} else {
 		// A fixed set of workers pulls site indices: each worker's stack
@@ -70,7 +78,7 @@ func (e *Engine) RankSites(ctx context.Context, desc *BinaryDescription, appByte
 					if i >= len(sites) {
 						return
 					}
-					out[i] = e.assessSite(ctx, desc, appBytes, sites[i], opts)
+					out[i] = e.assessSite(ctx, desc, appBytes, appELF, sites[i], opts)
 				}
 			}()
 		}
@@ -90,7 +98,7 @@ func (e *Engine) RankSites(ctx context.Context, desc *BinaryDescription, appByte
 // prediction (the determinant trail up to the fault) beside Err, and a
 // panicking evaluator or runner is contained to this site's assessment
 // rather than taking down the whole survey.
-func (e *Engine) assessSite(ctx context.Context, desc *BinaryDescription, appBytes []byte, site *sitemodel.Site, opts EvalOptions) (a SiteAssessment) {
+func (e *Engine) assessSite(ctx context.Context, desc *BinaryDescription, appBytes []byte, appELF *elfimg.File, site *sitemodel.Site, opts EvalOptions) (a SiteAssessment) {
 	a = SiteAssessment{Site: site.Name}
 	binName := ""
 	if desc != nil {
@@ -118,7 +126,10 @@ func (e *Engine) assessSite(ctx context.Context, desc *BinaryDescription, appByt
 		a.Err = fmt.Errorf("%w: survey of %s failed: %w", ErrSiteUnavailable, site.Name, err)
 		return a
 	}
-	pred, err := e.Evaluate(ctx, desc, appBytes, env, site, opts)
+	pred, err := e.evaluate(ctx, EvalRequest{
+		Desc: desc, Binary: appBytes, appELF: appELF,
+		Env: env, Site: site, Options: opts,
+	})
 	a.Prediction = pred
 	a.Err = err
 	return a

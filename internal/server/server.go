@@ -413,18 +413,13 @@ func (s *Server) predictOne(ctx context.Context, req PredictRequest, bin []byte)
 	s.predicting.Add(1)
 	defer s.predicting.Done()
 	if bin != nil {
-		name := req.Name
-		if name == "" {
-			name = "app"
+		// The coalescer describes the upload once, outside the site lock
+		// and inside the count above: a describe that misses the registry
+		// persists a record, and Commit waits for it.
+		evalReq.Binary, evalReq.Desc, evalReq.BinaryName = bin, nil, req.Name
+		if evalReq.BinaryName == "" {
+			evalReq.BinaryName = "app"
 		}
-		// Describing here, outside the site lock, hashes an upload once:
-		// the coalescer keys on the description's content hash and
-		// Predict evaluates the description it is handed.
-		desc, err := s.eng.Describe(ctx, bin, name)
-		if err != nil {
-			return nil, &APIError{Code: CodeUpstream, Message: err.Error()}, http.StatusBadGateway
-		}
-		evalReq.Binary, evalReq.Desc = bin, desc
 	}
 	pred, coalesced, err := s.co.Predict(ctx, evalReq)
 	resp := &PredictResponse{Site: req.Site, Coalesced: coalesced}

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"feam/internal/elfimg"
@@ -114,6 +115,11 @@ type Site struct {
 	// hits a persistent system error (daemon spawn failure, communication
 	// timeout) that survives the five retry attempts. Invisible to FEAM.
 	SysErrRate float64
+
+	// Images is the store of built library images the site installs
+	// from, shared by every site of its fleet; nil builds every image
+	// afresh.
+	Images *ImageStore
 
 	fs  *vfs.FS
 	env map[string]string
@@ -330,9 +336,9 @@ type Library struct {
 	Machine elfimg.Machine
 }
 
-// InstallLibrary builds the library ELF image and installs it (plus its
-// soname and development symlinks) into dir. It returns the installed file
-// path.
+// InstallLibrary builds the library ELF image, or takes it from the
+// site's image store, and installs it (plus its soname and development
+// symlinks) into dir. It returns the installed file path.
 func (s *Site) InstallLibrary(dir string, lib Library) (string, error) {
 	if lib.FileName == "" {
 		return "", fmt.Errorf("sitemodel: library needs a file name")
@@ -356,7 +362,7 @@ func (s *Site) InstallLibrary(dir string, lib Library) (string, error) {
 	if textSize == 0 {
 		textSize = 64 << 10
 	}
-	img, err := elfimg.Build(elfimg.Spec{
+	img, err := s.Images.image(elfimg.Spec{
 		Class:    cls,
 		Machine:  mach,
 		Type:     elfimg.TypeDyn,
@@ -373,7 +379,7 @@ func (s *Site) InstallLibrary(dir string, lib Library) (string, error) {
 		return "", fmt.Errorf("sitemodel: building %s: %v", lib.FileName, err)
 	}
 	full := path.Join(dir, lib.FileName)
-	if err := s.fs.WriteFile(full, img); err != nil {
+	if err := s.fs.WriteBlob(full, img); err != nil {
 		return "", err
 	}
 	if lib.ABIEpoch != 0 {
@@ -393,6 +399,45 @@ func (s *Site) InstallLibrary(dir string, lib Library) (string, error) {
 		}
 	}
 	return full, nil
+}
+
+// ImageStore holds one fleet's built library images: one immutable blob
+// per distinct elfimg.Spec, written into every site that installs that
+// spec. Sites running the same C-library release or the same MPI build
+// then hold one copy of each image and share its parsed-ELF memo. A store
+// lives as long as its sites, so a later UpgradeCLibrary on any of them
+// reuses the images, and goes with them. The zero value is ready to use
+// and safe for concurrent use.
+type ImageStore struct {
+	mu sync.Mutex
+	m  map[string]*vfs.Blob
+}
+
+// image returns the blob of spec's image, building it on the first
+// request. The key is spec's complete Go syntax, so specs that differ in
+// any field Build reads never share. A nil store builds afresh.
+func (st *ImageStore) image(spec elfimg.Spec) (*vfs.Blob, error) {
+	var key string
+	if st != nil {
+		key = fmt.Sprintf("%#v", spec)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if b, ok := st.m[key]; ok {
+			return b, nil
+		}
+	}
+	img, err := elfimg.Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	b := vfs.NewBlob(img)
+	if st != nil {
+		if st.m == nil {
+			st.m = map[string]*vfs.Blob{}
+		}
+		st.m[key] = b
+	}
+	return b, nil
 }
 
 // symlinkNames returns the soname and development-name symlinks to create

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"feam/internal/elfimg"
+	"feam/internal/vfs"
 )
 
 // StripExport rewrites the shared library at path with every export named
@@ -41,5 +42,5 @@ func (s *Site) StripExport(path, symbol string) error {
 	if err != nil {
 		return fmt.Errorf("sitemodel: rebuilding %s without %s: %w", path, symbol, err)
 	}
-	return s.fs.WriteFile(path, img)
+	return s.fs.WriteBlob(path, vfs.NewBlob(img))
 }

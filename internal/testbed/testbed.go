@@ -185,15 +185,18 @@ type Testbed struct {
 // Build materializes the default Table II testbed.
 func Build() (*Testbed, error) { return BuildFrom(DefaultSpecs()) }
 
-// BuildFrom materializes sites from explicit specs.
+// BuildFrom materializes sites from explicit specs. The sites share one
+// store of library images, so a library image that several sites install
+// is built and held once for the whole fleet.
 func BuildFrom(specs []SiteSpec) (*Testbed, error) {
 	tb := &Testbed{
 		ByName:   map[string]*sitemodel.Site{},
 		Specs:    map[string]SiteSpec{},
 		Clusters: map[string]*batch.Cluster{},
 	}
+	images := &sitemodel.ImageStore{}
 	for _, spec := range specs {
-		site, err := buildSite(spec)
+		site, err := buildSite(spec, images)
 		if err != nil {
 			return nil, fmt.Errorf("testbed: %s: %v", spec.Name, err)
 		}
@@ -220,7 +223,7 @@ func ArchForISA(isa string) (elfimg.Machine, elfimg.Class) {
 	}
 }
 
-func buildSite(spec SiteSpec) (*sitemodel.Site, error) {
+func buildSite(spec SiteSpec, images *sitemodel.ImageStore) (*sitemodel.Site, error) {
 	machine, class := ArchForISA(spec.ISA)
 	site := sitemodel.New(spec.Name,
 		sitemodel.Arch{
@@ -236,6 +239,7 @@ func buildSite(spec SiteSpec) (*sitemodel.Site, error) {
 	site.SystemType = spec.SystemType
 	site.Cores = spec.Cores
 	site.SysErrRate = spec.SysErrRate
+	site.Images = images
 	site.Interconnects = []string{"ethernet"}
 	if spec.Infiniband {
 		site.Interconnects = append(site.Interconnects, "infiniband")

@@ -57,10 +57,20 @@ type Artifact struct {
 	// Bytes is the complete ELF image.
 	Bytes []byte
 	Truth GroundTruth
+
+	// elf memoizes ELF's parse of Bytes.
+	elf elfimg.ParseMemo
 }
 
 // Size returns the image size in bytes.
 func (a *Artifact) Size() int { return len(a.Bytes) }
+
+// ELF returns the parsed image of Bytes. The first call parses it; later
+// calls, from any goroutine, return the same *elfimg.File (or the same
+// parse failure), so a hello world probed at many sites is parsed once.
+// The File is shared and read-only, and Bytes must not change once ELF
+// has been called.
+func (a *Artifact) ELF() (*elfimg.File, error) { return a.elf.Parse(a.Bytes) }
 
 // CompileError describes why a compilation failed.
 type CompileError struct {

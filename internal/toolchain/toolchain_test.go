@@ -1,7 +1,9 @@
 package toolchain
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"feam/internal/elfimg"
@@ -403,5 +405,43 @@ func TestCompiledBinarySymbols(t *testing.T) {
 	if !res.OK() {
 		t.Errorf("eager binding at build site failed:\nmissing=%v\nversion=%v\nundefined=%v",
 			res.Missing, res.VersionErrors, res.UndefinedSymbols)
+	}
+}
+
+// TestArtifactELFParsesOnce: concurrent callers get one parse of an
+// artifact, equal to a fresh parse of its bytes.
+func TestArtifactELFParsesOnce(t *testing.T) {
+	art := &Artifact{Name: "hello", Bytes: elfimg.MustBuild(elfimg.Spec{
+		Class: elfimg.Class64, Machine: elfimg.EMX8664, Type: elfimg.TypeExec,
+		Interp: "/lib64/ld-linux-x86-64.so.2", Needed: []string{"libc.so.6"},
+	})}
+	got := make([]*elfimg.File, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], _ = art.ELF()
+		}(g)
+	}
+	wg.Wait()
+	fresh, err := elfimg.Parse(art.Bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := range got {
+		if got[g] != got[0] {
+			t.Fatalf("goroutine %d got a different File", g)
+		}
+	}
+	if !reflect.DeepEqual(got[0], fresh) {
+		t.Error("memoized parse differs from a fresh parse")
+	}
+	bad := &Artifact{Name: "junk", Bytes: []byte("not an ELF image")}
+	if _, err := bad.ELF(); err == nil {
+		t.Error("parsing junk succeeded")
+	}
+	if _, err := bad.ELF(); err == nil {
+		t.Error("the memoized parse failure was lost")
 	}
 }

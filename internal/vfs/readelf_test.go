@@ -205,3 +205,56 @@ func TestLookupMatchesGeneralWalker(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteBlobSharesContentAndMemo: files on two filesystems that hold
+// one blob share its bytes and its parse, even when filled from both at
+// once, while every write of the blob still installs a new file that
+// stamps and generations see.
+func TestWriteBlobSharesContentAndMemo(t *testing.T) {
+	b := NewBlob(libImage("libx.so.1"))
+	a, c := New(), New()
+	for _, fs := range []*FS{a, c} {
+		if err := fs.WriteBlob("/lib64/libx.so.1", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ba, _ := a.ReadFileShared("/lib64/libx.so.1")
+	bc, _ := c.ReadFileShared("/lib64/libx.so.1")
+	if &ba[0] != &bc[0] {
+		t.Fatal("two files holding one blob do not share its bytes")
+	}
+	got := make([]*elfimg.File, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			fs := a
+			if g%2 == 1 {
+				fs = c
+			}
+			got[g], _ = fs.ReadELF("/lib64/libx.so.1")
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if got[g] == nil || got[g] != got[0] {
+			t.Fatalf("goroutine %d got a different File for the shared blob", g)
+		}
+	}
+
+	stamp, err := a.TreeStamp("/lib64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := a.ContentGeneration()
+	if err := a.WriteBlob("/lib64/libx.so.1", b); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := a.TreeStamp("/lib64"); again == stamp || a.ContentGeneration() == gen {
+		t.Error("rewriting a file with the blob it already held is invisible to stamps")
+	}
+	if f, _ := a.ReadELF("/lib64/libx.so.1"); f != got[0] {
+		t.Error("rewriting the same blob dropped its memo")
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"feam/internal/elfimg"
 )
@@ -49,7 +48,7 @@ func (k FileKind) String() string {
 type node struct {
 	kind     FileKind
 	children map[string]*node // KindDir
-	data     []byte           // KindFile
+	blob     *Blob            // KindFile
 	target   string           // KindSymlink
 	mode     uint32           // permission bits; 0755 dirs, 0644 files by default
 	attrs    map[string]string
@@ -66,18 +65,21 @@ type node struct {
 	// their caches. Both fields are guarded by FS.stampMu.
 	stampVal   uint64
 	stampEpoch uint64
-	// elf is the parsed-ELF memo of a regular file, filled by the first
-	// ReadELF. File contents never change in place (WriteFile installs a
-	// new node), so the memo is valid for the node's whole life.
-	elf atomic.Pointer[parsedELF]
 }
 
-// parsedELF is one memoized elfimg.Parse result: the file, or the parse
-// failure.
-type parsedELF struct {
-	f   *elfimg.File
-	err error
+// Blob is the immutable content of a regular file: its bytes and their
+// parsed-ELF memo, filled by the first ReadELF of any file that holds the
+// blob. Bytes never change once a blob exists, so one blob may back files
+// on many filesystems — every site of a fleet that installs the same
+// library image — and they all share one parse.
+type Blob struct {
+	data []byte
+	elf  elfimg.ParseMemo
 }
+
+// NewBlob wraps data as file content for WriteBlob. The blob owns data
+// from then on: neither the caller nor any reader may modify it.
+func NewBlob(data []byte) *Blob { return &Blob{data: data} }
 
 // FS is an in-memory filesystem rooted at "/". The zero value is not usable;
 // call New.
@@ -333,13 +335,13 @@ func stampNode(dir, name string, n *node, visit func(dir, name string, info File
 		// filter by name before caring about the full path.
 		fi := FileInfo{Name: name, Kind: n.kind, Target: n.target}
 		if n.kind == KindFile {
-			fi.Size = len(n.data)
+			fi.Size = len(n.blob.data)
 		}
 		visit(dir, name, fi)
 	}
 	switch n.kind {
 	case KindFile:
-		h = fnvUint64(h, uint64(len(n.data)))
+		h = fnvUint64(h, uint64(len(n.blob.data)))
 	case KindSymlink:
 		h = fnvString(h, n.target)
 	case KindDir:
@@ -362,7 +364,7 @@ func stampNode(dir, name string, n *node, visit func(dir, name string, info File
 func visitSubtree(dir, name string, n *node, visit func(dir, name string, info FileInfo)) {
 	fi := FileInfo{Name: name, Kind: n.kind, Target: n.target}
 	if n.kind == KindFile {
-		fi.Size = len(n.data)
+		fi.Size = len(n.blob.data)
 	}
 	visit(dir, name, fi)
 	if n.kind == KindDir && len(n.children) > 0 {
@@ -657,7 +659,18 @@ func (fs *FS) mkdirAll(p string) error {
 }
 
 // WriteFile creates or replaces a regular file, creating parents as needed.
+// The file gets its own copy of data.
 func (fs *FS) WriteFile(p string, data []byte) error {
+	buf := make([]byte, len(data))
+	copy(buf, data)
+	return fs.WriteBlob(p, NewBlob(buf))
+}
+
+// WriteBlob is WriteFile without the copy: the file's content is b
+// itself, shared with every other file that holds b. Like WriteFile it
+// installs a new file node at a new generation, so stamps and every cache
+// keyed on them see a write even when b is the content p already had.
+func (fs *FS) WriteBlob(p string, b *Blob) error {
 	if err := fs.opErr("write", p); err != nil {
 		return err
 	}
@@ -675,9 +688,7 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	if existing, ok := parent.children[base]; ok && existing.kind == KindDir {
 		return &PathError{Op: "write", Path: p, Err: ErrIsDir}
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	nn := &node{kind: KindFile, data: buf, mode: 0o644}
+	nn := &node{kind: KindFile, blob: b, mode: 0o644}
 	parent.children[base] = nn
 	fs.mutated(cp, false)
 	nn.ver = fs.gen
@@ -688,16 +699,16 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 func (fs *FS) WriteString(p, content string) error { return fs.WriteFile(p, []byte(content)) }
 
 // ReadFileShared returns the file's contents WITHOUT copying. The returned
-// slice aliases the stored data: callers must treat it as read-only. It
-// exists for hot read-mostly paths (the dynamic-loader simulation parses
-// multi-megabyte libraries thousands of times); everything else should use
-// ReadFile.
+// slice aliases the stored blob, which other files and other filesystems
+// may hold too: callers must treat it as read-only. It exists for hot
+// read-mostly paths (the dynamic-loader simulation parses multi-megabyte
+// libraries thousands of times); everything else should use ReadFile.
 func (fs *FS) ReadFileShared(p string) ([]byte, error) {
 	n, err := fs.fileNode(p)
 	if err != nil {
 		return nil, err
 	}
-	return n.data, nil
+	return n.blob.data, nil
 }
 
 // fileNode is the common head of every file read: one "read" fault-hook
@@ -717,29 +728,23 @@ func (fs *FS) fileNode(p string) (*node, error) {
 }
 
 // ReadELF returns the parsed ELF image of the regular file at p, following
-// symlinks. The parse is memoized on the file: the first call runs
-// elfimg.Parse, and every later call returns the same *elfimg.File (or the
-// same parse failure) until the file is rewritten — WriteFile installs a
-// new file, while SetAttr and Rename keep the memo. The returned File is
-// shared and must be treated as read-only, like ReadFileShared's bytes.
-// The fault hook sees one "read" per call, memoized or not.
+// symlinks. The parse is memoized on the file's blob: the first call runs
+// elfimg.Parse, and every later call for any file holding the same blob
+// returns the same *elfimg.File (or the same parse failure). WriteFile
+// gives a file a new blob, so it parses afresh; WriteBlob shares the
+// blob's memo; SetAttr and Rename keep it. The returned File is shared
+// and must be treated as read-only, like ReadFileShared's bytes. The
+// fault hook sees one "read" per call, memoized or not.
 func (fs *FS) ReadELF(p string) (*elfimg.File, error) {
 	n, err := fs.fileNode(p)
 	if err != nil {
 		return nil, err
 	}
-	m := n.elf.Load()
-	if m == nil {
-		f, err := elfimg.Parse(n.data)
-		m = &parsedELF{f: f, err: err}
-		if !n.elf.CompareAndSwap(nil, m) {
-			m = n.elf.Load()
-		}
+	f, err := n.blob.elf.Parse(n.blob.data)
+	if err != nil {
+		return nil, &PathError{Op: "parse", Path: p, Err: err}
 	}
-	if m.err != nil {
-		return nil, &PathError{Op: "parse", Path: p, Err: m.err}
-	}
-	return m.f, nil
+	return f, nil
 }
 
 // ReadFile returns the contents of the file at p, following symlinks.
@@ -748,8 +753,8 @@ func (fs *FS) ReadFile(p string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(n.data))
-	copy(out, n.data)
+	out := make([]byte, len(n.blob.data))
+	copy(out, n.blob.data)
 	return out, nil
 }
 
@@ -913,7 +918,7 @@ func (fs *FS) Lstat(p string) (FileInfo, error) {
 func infoFor(n *node, p string) FileInfo {
 	fi := FileInfo{Name: path.Base(p), Path: p, Kind: n.kind, Target: n.target}
 	if n.kind == KindFile {
-		fi.Size = len(n.data)
+		fi.Size = len(n.blob.data)
 	}
 	return fi
 }
