@@ -106,12 +106,15 @@ bench-trajectory:
 # and the JSON renderer still work without paying for stable numbers,
 # and the AllocsPerRun gates fail the job if the zero-copy View accessor
 # path, the cached ABI resolve path or the parsed-ELF memo hit path ever
-# allocates again. The heap budget then fails it if the 120-site isa-mix
-# fleet stops sharing its library images (it must add under 64 MB of
-# live heap; one copy per site is about 0.9 GB).
+# allocates again. The upload gate fails it if decoding a /v1/predict
+# body carrying a 1 MiB binary allocates 16 KiB or more (the binary is
+# decoded in place in the body). The heap budget then fails it if the
+# 120-site isa-mix fleet stops sharing its library images (it must add
+# under 64 MB of live heap; one copy per site is about 0.9 GB).
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 10x -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -out BENCH_smoke.json
 	$(GO) test -run 'TestViewParseAllocs' -count=1 -v ./internal/elfimg/
 	$(GO) test -run 'TestABIResolveAllocs' -count=1 -v ./internal/abicheck/
 	$(GO) test -run 'TestReadELFHitAllocs' -count=1 -v ./internal/vfs/
+	$(GO) test -run 'TestDecodeBodyAllocs' -count=1 -v ./internal/server/
 	$(GO) test -run 'TestFleetHeapBudget' -count=1 -v ./internal/scenario/

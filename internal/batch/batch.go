@@ -39,20 +39,6 @@ func (m Manager) String() string {
 	}
 }
 
-// SubmitCommand returns the manager's submission executable.
-func (m Manager) SubmitCommand() string {
-	switch m {
-	case PBS:
-		return "qsub"
-	case SGE:
-		return "qsub"
-	case SLURM:
-		return "sbatch"
-	default:
-		return "qsub"
-	}
-}
-
 // ScriptSpec describes a submission script.
 type ScriptSpec struct {
 	Manager  Manager

@@ -51,9 +51,6 @@ func TestManagerStrings(t *testing.T) {
 	if PBS.String() != "PBS" || SGE.String() != "SGE" || SLURM.String() != "SLURM" {
 		t.Error("Manager.String broken")
 	}
-	if PBS.SubmitCommand() != "qsub" || SLURM.SubmitCommand() != "sbatch" {
-		t.Error("SubmitCommand broken")
-	}
 }
 
 func TestSubstitute(t *testing.T) {
@@ -105,9 +102,6 @@ func TestSubmitSuccessFirstTry(t *testing.T) {
 	}
 	if c.CPUHoursUsed() <= 0 {
 		t.Error("no accounting")
-	}
-	if res.TotalTime() != res.QueueWait+res.RunTime {
-		t.Error("TotalTime inconsistent")
 	}
 }
 

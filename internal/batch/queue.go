@@ -78,10 +78,6 @@ type JobResult struct {
 	Output string
 }
 
-// TotalTime is wait plus run across attempts (approximated by the recorded
-// totals).
-func (r JobResult) TotalTime() time.Duration { return r.QueueWait + r.RunTime }
-
 // Payload is the simulated job body: it returns success and output, plus
 // the simulated run duration.
 type Payload func(attempt int) (success bool, output string, runTime time.Duration)

@@ -77,9 +77,6 @@ func TestBuildParseRoundTripExec(t *testing.T) {
 	if f.Format() != "elf64-x86-64" {
 		t.Errorf("Format = %q", f.Format())
 	}
-	if f.IsSharedLibrary() {
-		t.Error("executable should not be a shared library")
-	}
 }
 
 func TestBuildParseRoundTripLibrary(t *testing.T) {
@@ -97,9 +94,6 @@ func TestBuildParseRoundTripLibrary(t *testing.T) {
 	}
 	if !reflect.DeepEqual(f.VerDefs, spec.VerDefs) {
 		t.Errorf("VerDefs = %v", f.VerDefs)
-	}
-	if !f.IsSharedLibrary() {
-		t.Error("expected shared library")
 	}
 }
 

@@ -47,12 +47,6 @@ func (f *File) Format() string {
 	return fmt.Sprintf("elf%s-%s", bits, f.Machine)
 }
 
-// IsSharedLibrary reports whether the object is a shared library (ET_DYN
-// with a soname, or any ET_DYN without an interpreter).
-func (f *File) IsSharedLibrary() bool {
-	return f.Type == TypeDyn && (f.Soname != "" || f.Interp == "")
-}
-
 // VersionRefNames flattens all referenced symbol-version names.
 func (f *File) VersionRefNames() []string {
 	var out []string

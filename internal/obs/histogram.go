@@ -114,14 +114,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Mean returns the average sample duration (0 when empty).
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
-}
-
 // Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1):
 // the bound of the bucket containing the q-th sample. The overflow bucket
 // and q=1 report the exact observed maximum.

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -215,18 +216,30 @@ func TestPredictUpload(t *testing.T) {
 	}
 }
 
+// bodyCase is one /v1/predict body with whether the fast path should
+// take it.
+type bodyCase struct {
+	name, body string
+	fast       bool
+}
+
 // bodyCases are /v1/predict bodies around a valid binary_b64, with whether
 // the fast path should take them. A body it silently stops taking is
 // slower but still correct, so only this table notices.
-var bodyCases = []struct {
-	name, body string
-	fast       bool
-}{
+var bodyCases = append([]bodyCase{
 	{"upload shape", `{"site":"india","name":"is","probe":true,"binary_b64":"QUJD"}`, true},
 	{"reordered keys", `{"binary_b64":"QUJDRA==","probe":true,"name":"is","site":"india"}`, true},
 	{"extra whitespace", " \t\r\n{ \"site\" : \"india\" ,\n\t\"binary_b64\"\r\n:  \"QUJD\" \n}\n ", true},
 	{"nested objects", `{"site":"in\"dia","x":{"binary_b64":"REVG","y":[1,"]}",{}]},"binary_b64":"QUJD"}`, true},
 	{"batch beside a binary", `{"requests":[{"site":"india","binary_b64":"REVG"}],"binary_b64":"QUJD"}`, true},
+	{"8 characters", `{"binary_b64":"QUJDREVG"}`, true},
+	{"12 characters", `{"binary_b64":"QUJDREVGR0hJ"}`, true},
+	{"16 characters", `{"binary_b64":"QUJDREVGR0hJSktM"}`, true},
+	{"every character in every position", `{"binary_b64":"` + alphabetRotations() + `QUJDREVG"}`, true},
+	{"tail QQ==", `{"binary_b64":"QUJDREVGR0hJQQ=="}`, true},
+	{"tail QR==", `{"binary_b64":"QUJDREVGR0hJQR=="}`, true},
+	{"tail QUI=", `{"binary_b64":"QUJDREVGR0hJQUI="}`, true},
+	{"tail QUJD", `{"binary_b64":"QUJDREVGR0hJQUJD"}`, true},
 	{"batch", `{"requests":[{"site":"india","binary_b64":"QUJD"}]}`, false},
 	{"escaped binary key", `{"site":"india","binary\u005fb64":"QUJD"}`, false},
 	{"escaped other key", `{"s\u0069te":"india","binary_b64":"QUJD"}`, false},
@@ -237,13 +250,54 @@ var bodyCases = []struct {
 	{"CR in value", "{\"site\":\"india\",\"binary_b64\":\"QU\rJD\"}", false},
 	{"LF in value", "{\"site\":\"india\",\"binary_b64\":\"QUJD\n\"}", false},
 	{"escaped CRLF in value", `{"site":"india","binary_b64":"QUJD\r\n"}`, false},
+	{"CR and LF filling the last quad", "{\"binary_b64\":\"QUJDREVG\r\n\r\n\"}", false},
+	{"CR and LF in a two-quad tail", "{\"binary_b64\":\"QUJDREVGQUJD\r\n\r\n\"}", false},
+	{"length not a multiple of four", `{"binary_b64":"QUJDREVGRA"}`, false},
 	{"empty value", `{"site":"india","binary_b64":""}`, false},
 	{"null value", `{"site":"india","binary_b64":null}`, false},
 	{"bad base64", `{"site":"india","binary_b64":"!!!"}`, false},
 	{"bad field type", `{"site":1,"binary_b64":"QUJD"}`, false},
+	{"bad field type after the value", `{"binary_b64":"QUJDREVGR0hJSktM","site":1}`, false},
 	{"not an object", `["binary_b64","QUJD"]`, false},
 	{"trailing bytes", `{"binary_b64":"QUJD"} {}`, false},
 	{"unterminated", `{"binary_b64":"QUJD"`, false},
+}, badByteCases()...)
+
+// alphabetRotations returns the base64 alphabet four times, rotated by
+// one more character each time, so every character of it appears at every
+// position of a quad.
+func alphabetRotations() string {
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	var b strings.Builder
+	for r := 0; r < 4; r++ {
+		b.WriteString(alphabet[r:] + alphabet[:r])
+	}
+	return b.String()
+}
+
+// badByteCases puts each byte the decoder must refuse at the first, a
+// middle and the last position of the in-place bulk and at the start of
+// the last quad, which encoding/base64 decodes. The 40-character value
+// has four bulk steps, characters 0-31, and a tail of two quads, so a
+// refusal in the middle, at the end of the bulk and in the tail undoes
+// two, three and four steps.
+func badByteCases() []bodyCase {
+	const value = "QUJDREVGR0hJSktMTU5PUFFSU1RVVldYWVphYmNk"
+	var out []bodyCase
+	for _, c := range []byte{'\\', '\r', '\n', '=', '-', '_', ' ', 0x80, '"'} {
+		for _, at := range []struct {
+			where string
+			i     int
+		}{{"first", 0}, {"middle", 17}, {"last bulk", 31}, {"tail", 36}} {
+			v := []byte(value)
+			v[at.i] = c
+			out = append(out, bodyCase{
+				name: fmt.Sprintf("%q at %s position", c, at.where),
+				body: `{"site":"india","binary_b64":"` + string(v) + `"}`,
+			})
+		}
+	}
+	return out
 }
 
 // TestPredictBodyFastPath pins which bodies the fast path takes, and that
@@ -269,17 +323,22 @@ func FuzzPredictBody(f *testing.F) {
 	})
 }
 
-// checkBodyDecode compares decodePredictBody on body with the independent
-// reference and reports whether the fast path took it.
+// checkBodyDecode compares decodePredictBody on a copy of body with the
+// independent reference and reports whether the fast path took it. A body
+// it does not take must come back byte-identical.
 func checkBodyDecode(t *testing.T, body []byte) (fast bool) {
 	t.Helper()
 	var want predictBody
 	wantErr := json.Unmarshal(body, &want)
-	got, bin, err := decodePredictBody(body)
+	buf := bytes.Clone(body)
+	got, bin, err := decodePredictBody(buf)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("body %q: error %v, want %v", body, err, wantErr)
 	}
 	if bin == nil {
+		if !bytes.Equal(buf, body) {
+			t.Fatalf("body %q: not taken, but left as %q", body, buf)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("body %q: decoded %+v, want %+v", body, got, want)
 		}
@@ -292,11 +351,43 @@ func checkBodyDecode(t *testing.T, body []byte) (fast bool) {
 	if b64Err != nil || !bytes.Equal(bin, wantBin) {
 		t.Fatalf("body %q: fast path decoded %x, want %x (err %v)", body, bin, wantBin, b64Err)
 	}
+	if len(bin) != cap(bin) {
+		t.Fatalf("body %q: binary has cap %d beyond its %d bytes, so an append could reach the envelope", body, cap(bin), len(bin))
+	}
 	got.BinaryB64 = want.BinaryB64
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("body %q: decoded %+v, want %+v", body, got, want)
 	}
 	return true
+}
+
+// TestDecodeBodyAllocs: the fast path decodes an upload in the body's own
+// buffer, so a 1 MiB binary costs the envelope's allocations and not a
+// second buffer of its size.
+func TestDecodeBodyAllocs(t *testing.T) {
+	const runs, budget = 8, 16 << 10
+	bin := make([]byte, 1<<20)
+	for i := range bin {
+		bin[i] = byte(i * 7)
+	}
+	body := []byte(`{"site":"india","name":"big","probe":true,"binary_b64":"` + base64.StdEncoding.EncodeToString(bin) + `"}`)
+	// Each call writes the image over its body, so every call gets its
+	// own copy, made before measuring.
+	bodies := make([][]byte, runs)
+	for i := range bodies {
+		bodies[i] = bytes.Clone(body)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range bodies {
+		if _, got, err := decodePredictBody(b); err != nil || !bytes.Equal(got, bin) {
+			t.Fatalf("fast path did not decode the 1 MiB binary (err %v)", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= budget {
+		t.Fatalf("decodePredictBody allocated %d bytes per call for a 1 MiB binary, want under %d", per, budget)
+	}
 }
 
 // BenchmarkPredictUpload posts a ~90 KB and a ~2.6 MB corpus image through

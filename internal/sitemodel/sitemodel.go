@@ -11,6 +11,7 @@
 package sitemodel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -414,12 +415,12 @@ type ImageStore struct {
 }
 
 // image returns the blob of spec's image, building it on the first
-// request. The key is spec's complete Go syntax, so specs that differ in
-// any field Build reads never share. A nil store builds afresh.
+// request. The key is imageKey(spec), so specs that differ in any field
+// Build reads never share. A nil store builds afresh.
 func (st *ImageStore) image(spec elfimg.Spec) (*vfs.Blob, error) {
 	var key string
 	if st != nil {
-		key = fmt.Sprintf("%#v", spec)
+		key = imageKey(spec)
 		st.mu.Lock()
 		defer st.mu.Unlock()
 		if b, ok := st.m[key]; ok {
@@ -438,6 +439,52 @@ func (st *ImageStore) image(spec elfimg.Spec) (*vfs.Blob, error) {
 		st.m[key] = b
 	}
 	return b, nil
+}
+
+// imageKey is the canonical form of a spec: every field in declaration
+// order, each number as a varint and each string and slice prefixed with
+// its length, so two specs share a key only when every field is equal
+// ("ab","c" and "a","bc" differ). TestImageStoreKeysEveryField fails when
+// elfimg.Spec gains a field this leaves out.
+func imageKey(s elfimg.Spec) string {
+	k := make([]byte, 0, 256)
+	k = binary.AppendUvarint(k, uint64(s.Class))
+	k = binary.AppendUvarint(k, uint64(s.Machine))
+	k = binary.AppendUvarint(k, uint64(s.Type))
+	k = appendKeyStr(appendKeyStr(k, s.Interp), s.Soname)
+	k = appendKeyStrs(k, s.Needed)
+	k = appendKeyStr(appendKeyStr(k, s.RPath), s.RunPath)
+	k = binary.AppendUvarint(k, uint64(len(s.VerNeeds)))
+	for _, vn := range s.VerNeeds {
+		k = appendKeyStrs(appendKeyStr(k, vn.File), vn.Versions)
+	}
+	k = appendKeyStrs(k, s.VerDefs)
+	k = appendKeyStrs(k, s.Comments)
+	k = binary.AppendUvarint(k, uint64(len(s.Imports)))
+	for _, im := range s.Imports {
+		k = appendKeyStr(appendKeyStr(appendKeyStr(k, im.Name), im.Version), im.Library)
+	}
+	k = binary.AppendUvarint(k, uint64(len(s.Exports)))
+	for _, ex := range s.Exports {
+		k = appendKeyStr(appendKeyStr(k, ex.Name), ex.Version)
+	}
+	k = binary.AppendVarint(k, int64(s.TextSize))
+	return string(k)
+}
+
+// appendKeyStr appends str to an image key, prefixed with its length.
+func appendKeyStr(k []byte, str string) []byte {
+	return append(binary.AppendUvarint(k, uint64(len(str))), str...)
+}
+
+// appendKeyStrs appends a string slice to an image key: its length, then
+// each string by appendKeyStr.
+func appendKeyStrs(k []byte, strs []string) []byte {
+	k = binary.AppendUvarint(k, uint64(len(strs)))
+	for _, str := range strs {
+		k = appendKeyStr(k, str)
+	}
+	return k
 }
 
 // symlinkNames returns the soname and development-name symlinks to create
