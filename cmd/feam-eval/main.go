@@ -22,7 +22,6 @@ import (
 	"feam/internal/experiment"
 	"feam/internal/feam"
 	"feam/internal/obs"
-	"feam/internal/registry"
 	"feam/internal/report"
 	"feam/internal/server"
 	"feam/internal/store"
@@ -100,10 +99,11 @@ func run(cfg evalConfig) error {
 		return nil
 	}
 
-	// Explicit layering: one metrics registry and tracer feed the sharded
-	// site registry and the persistent store underneath a stateless engine,
-	// so the evaluation's survey traffic is cached, counted, and persisted
-	// through the same layers the production workflow uses.
+	// Explicit layering: one metrics registry and tracer feed the persistent
+	// store and the engine's sharded site registry (feam.New builds it over
+	// the metrics registry), so the evaluation's survey traffic is cached,
+	// counted, and persisted through the same layers the production
+	// workflow uses.
 	metricsReg := obs.NewRegistry()
 	tr := obs.NewTracer(0)
 	st, err := store.Open(vfs.New(), "/feam/state",
@@ -114,7 +114,6 @@ func run(cfg evalConfig) error {
 	eng := feam.New(
 		feam.WithTracer(tr),
 		feam.WithMetrics(metricsReg),
-		feam.WithRegistry(registry.New(registry.WithMetrics(metricsReg))),
 		feam.WithStore(st),
 	)
 	if cfg.traceOut != "" {

@@ -17,7 +17,6 @@ import (
 	"feam/internal/fault"
 	"feam/internal/feam"
 	"feam/internal/obs"
-	"feam/internal/registry"
 	"feam/internal/report"
 	"feam/internal/scenario"
 	"feam/internal/server"
@@ -106,7 +105,6 @@ func buildEngine(traceOut, debugAddr string) (*feam.Engine, func(), error) {
 	eng := feam.New(
 		feam.WithTracer(tr),
 		feam.WithMetrics(metricsReg),
-		feam.WithRegistry(registry.New(registry.WithMetrics(metricsReg))),
 		feam.WithStore(st),
 	)
 	cleanup := func() {}

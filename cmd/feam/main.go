@@ -78,7 +78,7 @@ func run(codeName, className, from, stackKey, to string, basic bool, seed int64,
 			rst := sites.Stats()
 			sst := st.Stats()
 			fmt.Printf("registry: %d sites, %d surveys, %d descriptions cached (%d hits / %d misses, %d evicted)\n",
-				rst.Sites, rst.Surveys, rst.Descriptions, rst.Hits, rst.Misses, rst.Evictions)
+				rst.Sites, rst.Entries[feam.KindSurvey], rst.Entries[feam.KindDescription], rst.Hits, rst.Misses, rst.Evictions)
 			fmt.Printf("store: %d commits, %d loads, %d corrupt\n", sst.Commits, sst.Loads, sst.Corrupt)
 		}()
 	}

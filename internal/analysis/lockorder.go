@@ -32,12 +32,12 @@ var lockBlockers = map[string]bool{
 	"RankSites": true, "assessSite": true,
 	"resolveMissing": true, "stagePlan": true, "stageOne": true,
 	"commitStage": true, "retryFSOp": true,
-	// PR 6 layering: real survey/description work and the engine's
-	// store-backed rehydration helpers do filesystem I/O, so none of them
-	// may run under a registry shard lock or the store's vfs lock.
-	"discoverSite": true, "describeBytes": true,
-	"loadSurvey": true, "persistSurvey": true,
-	"loadDescription": true, "persistDescription": true,
+	// Real survey/description work and the engine's derived-data layer
+	// (store loads, computation, persistence) do filesystem I/O, so none
+	// of them may run under a registry shard lock or the store's vfs lock.
+	"surveySite": true, "describeBytes": true,
+	"fetchDerived": true, "loadDerived": true,
+	"keepDerived": true, "deriveCached": true,
 	"SaveBundle": true, "LoadBundle": true,
 }
 

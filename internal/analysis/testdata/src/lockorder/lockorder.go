@@ -70,6 +70,25 @@ func (e *engine) badBeginProbeBatchUnderMu(r probeRunner) {
 	r.BeginProbeBatch("a", "mpich2") // want `BeginProbeBatch while holding e.mu`
 }
 
+func surveySite() {}
+
+func keepDerived() {}
+
+// badSurveyUnderMu runs a real survey under the leaf mutex.
+func (e *engine) badSurveyUnderMu() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	surveySite() // want `surveySite while holding e.mu`
+}
+
+// badPersistUnderMu keeps (and persists) a derived value under the leaf
+// mutex.
+func (e *engine) badPersistUnderMu() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	keepDerived() // want `keepDerived while holding e.mu`
+}
+
 // badEvaluateUnderMu reenters the pipeline under the leaf mutex.
 func (e *engine) badEvaluateUnderMu() {
 	e.mu.Lock()

@@ -1,16 +1,14 @@
 // abi.go wires the internal/abicheck symbol-resolution analyzer into the
-// engine: a fifth DeterminantEvaluator in the ABIEvaluators ladder, a
-// KindSymIndex caching layer over the sharded registry and the persistent
-// store, and the cross-tool agreement mode that runs the independent
-// soname-closure checker and publishes abi_agree/abi_disagree counters
-// (the tool-agreement measurement of Sochat & Haines, arXiv:2212.03364).
+// engine: a fifth DeterminantEvaluator in the ABIEvaluators ladder, the
+// per-site symbol index kept as a derived value (symIndexKind), and the
+// cross-tool agreement mode that runs the independent soname-closure
+// checker and publishes abi_agree/abi_disagree counters (the
+// tool-agreement measurement of Sochat & Haines, arXiv:2212.03364).
 package feam
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"math/bits"
 	"strconv"
 	"strings"
 
@@ -21,11 +19,6 @@ import (
 	"feam/internal/obs"
 	"feam/internal/sitemodel"
 )
-
-// symIndexShardKey is the registry shard key holding the cached per-site
-// *abicheck.Index; like the survey's \x00roots sentinel, the NUL prefix
-// keeps it disjoint from real shard roots.
-const symIndexShardKey = "\x00symindex"
 
 // ABIEvaluator is the fifth determinant: every undefined dynamic symbol
 // of the binary must resolve against the site's exported-symbol index.
@@ -88,10 +81,10 @@ func ABIEvaluators(agreement bool) []DeterminantEvaluator {
 
 // ABICheck resolves a binary's dynamic symbols against one site's
 // exported-symbol index, outside any prediction: the entry point behind
-// cmd/feam-abi and GET /v1/abi/{site}. The index is served from the
-// KindSymIndex registry/store layer when its env-fingerprint/generation
-// stamp still matches. Callers coordinating with concurrent surveys
-// should hold the engine's SiteLock, as the server handler does.
+// cmd/feam-abi and GET /v1/abi/{site}. The site's index is reused while
+// its env-fingerprint/content-generation stamp still matches. Callers
+// coordinating with concurrent surveys should hold the engine's SiteLock,
+// as the server handler does.
 func (e *Engine) ABICheck(ctx context.Context, site *sitemodel.Site, bin []byte, name string, agreement bool) (*abicheck.Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -133,59 +126,21 @@ func (e *Engine) abiReport(site *sitemodel.Site, bin []byte, name string, agreem
 	return report, nil
 }
 
-// symbolIndex serves the per-site exported-symbol index through the
-// KindSymIndex layer: sharded registry first, then the persistent store,
-// then a real build (the only path that emits an OpSymIndex span). The
-// stamp mixes the environment fingerprint with the filesystem content
-// generation, so both a stack-environment change and any library
-// mutation invalidate the index — the same rule the survey shards use.
+// symbolIndex serves the per-site exported-symbol index, kept under
+// contentStamp: both a stack-environment change and any library mutation
+// invalidate it, the same rule the shard-root list uses. Only a real
+// build emits an OpSymIndex span.
 func (e *Engine) symbolIndex(site *sitemodel.Site, parent *obs.Span) *abicheck.Index {
-	stamp := site.EnvFingerprint() ^ bits.RotateLeft64(site.FS().ContentGeneration(), 32)
-	if v, ok := e.sites.LookupShard(site, symIndexShardKey, stamp); ok {
-		return v.(*abicheck.Index)
-	}
-	if ix, ok := e.loadSymIndex(site, stamp); ok {
-		e.sites.StoreShard(site, symIndexShardKey, stamp, ix)
-		return ix
-	}
-	sp := e.tracer.Start(obs.OpSymIndex,
-		obs.WithParent(parent), obs.WithSite(site.Name))
-	ix := abicheck.BuildIndex(site, nil, stamp)
-	sp.SetAttr(obs.AttrLibs, strconv.Itoa(ix.Libraries()))
-	sp.End(nil)
-	e.sites.StoreShard(site, symIndexShardKey, stamp, ix)
-	e.persistSymIndex(site, ix)
+	stamp := contentStamp(site)
+	ix, _ := deriveCached(e, symIndexKind, site, "", stamp, func() (*abicheck.Index, error) {
+		sp := e.tracer.Start(obs.OpSymIndex,
+			obs.WithParent(parent), obs.WithSite(site.Name))
+		ix := abicheck.BuildIndex(site, nil, stamp)
+		sp.SetAttr(obs.AttrLibs, strconv.Itoa(ix.Libraries()))
+		sp.End(nil)
+		return ix, nil
+	})
 	return ix
-}
-
-// loadSymIndex rehydrates a persisted symbol index when its stamp still
-// matches; absent, stale, or corrupt records are all misses.
-func (e *Engine) loadSymIndex(site *sitemodel.Site, stamp uint64) (*abicheck.Index, bool) {
-	if e.store == nil {
-		return nil, false
-	}
-	payload, ok, _ := e.store.Get(KindSymIndex, site.Name)
-	if !ok {
-		return nil, false
-	}
-	var snap abicheck.Snapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return nil, false
-	}
-	if snap.Site != site.Name || snap.Stamp != stamp {
-		return nil, false
-	}
-	return abicheck.FromSnapshot(&snap), true
-}
-
-// persistSymIndex writes the index snapshot (best-effort, like surveys).
-func (e *Engine) persistSymIndex(site *sitemodel.Site, ix *abicheck.Index) {
-	if e.store == nil {
-		return
-	}
-	if payload, err := json.Marshal(ix.Snapshot()); err == nil {
-		_ = e.store.Put(KindSymIndex, site.Name, payload)
-	}
 }
 
 // selectStackABIStandard is the MPI determinant's ABI-standard fallback:

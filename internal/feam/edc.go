@@ -85,11 +85,27 @@ func Discover(site *sitemodel.Site) (*EnvironmentDescription, error) {
 
 // surveySite is the uncached survey: the system surface first (a failure
 // there means the site is unreachable), then the sharded filesystem index,
-// then the glibc and MPI-stack determinations merged out of it.
+// then the glibc and MPI-stack determinations merged out of it. The
+// system surface is kept until /proc or /etc changes; a site whose stamps
+// cannot be read (fault injection, outages) takes the live path, so its
+// failures surface as they happen.
 func (e *Engine) surveySite(ctx context.Context, site *sitemodel.Site) (*EnvironmentDescription, error) {
-	env := &EnvironmentDescription{SiteName: site.Name}
-	if err := e.discoverSystemCached(site, env); err != nil {
+	var sys *sysRecord
+	var err error
+	if stamp, ok := systemStamp(site); ok {
+		sys, err = deriveCached(e, systemKind, site, "", stamp, func() (*sysRecord, error) {
+			return discoverSystem(site)
+		})
+	} else {
+		sys, err = discoverSystem(site)
+	}
+	if err != nil {
 		return nil, err
+	}
+	env := &EnvironmentDescription{
+		SiteName:       site.Name,
+		UnameProcessor: sys.UnameProcessor, ISA: sys.ISA, Bits: sys.Bits,
+		OSType: sys.OSType, OSVersion: sys.OSVersion, Distro: sys.Distro,
 	}
 	shards, err := e.surveyShards(ctx, site)
 	if err != nil {
@@ -100,43 +116,55 @@ func (e *Engine) surveySite(ctx context.Context, site *sitemodel.Site) (*Environ
 	return env, nil
 }
 
+// sysRecord is the parsed system surface: uname, /proc/version and
+// /etc/*release.
+type sysRecord struct {
+	UnameProcessor string
+	ISA            elfimg.Machine
+	Bits           int
+	OSType         string
+	OSVersion      string
+	Distro         string
+}
+
 // discoverSystem reads the uname surface, /proc/version and /etc/*release.
-func discoverSystem(site *sitemodel.Site, env *EnvironmentDescription) error {
+func discoverSystem(site *sitemodel.Site) (*sysRecord, error) {
 	raw, err := site.FS().ReadFile("/proc/sys/kernel/uname")
 	if err != nil {
-		return fmt.Errorf("%w: uname unavailable: %w", ErrSiteUnavailable, err)
+		return nil, fmt.Errorf("%w: uname unavailable: %w", ErrSiteUnavailable, err)
 	}
+	sys := &sysRecord{}
 	fields := strings.Fields(string(raw))
 	if len(fields) > 0 {
-		env.UnameProcessor = fields[0]
+		sys.UnameProcessor = fields[0]
 	}
-	switch env.UnameProcessor {
+	switch sys.UnameProcessor {
 	case "x86_64":
-		env.ISA, env.Bits = elfimg.EMX8664, 64
+		sys.ISA, sys.Bits = elfimg.EMX8664, 64
 	case "i686", "i586", "i386":
-		env.ISA, env.Bits = elfimg.EM386, 32
+		sys.ISA, sys.Bits = elfimg.EM386, 32
 	case "ppc64":
-		env.ISA, env.Bits = elfimg.EMPPC64, 64
+		sys.ISA, sys.Bits = elfimg.EMPPC64, 64
 	case "ppc":
-		env.ISA, env.Bits = elfimg.EMPPC, 32
+		sys.ISA, sys.Bits = elfimg.EMPPC, 32
 	default:
-		return fmt.Errorf("%w: unrecognized processor %q", ErrSiteUnavailable, env.UnameProcessor)
+		return nil, fmt.Errorf("%w: unrecognized processor %q", ErrSiteUnavailable, sys.UnameProcessor)
 	}
 	if data, err := site.FS().ReadFile("/proc/version"); err == nil {
 		f := strings.Fields(string(data))
 		if len(f) >= 3 && f[0] == "Linux" && f[1] == "version" {
-			env.OSType = "Linux"
-			env.OSVersion = f[2]
+			sys.OSType = "Linux"
+			sys.OSVersion = f[2]
 		}
 	}
 	// Confirm distribution from /etc/*release files.
 	for _, rel := range []string{"/etc/redhat-release", "/etc/centos-release", "/etc/SuSE-release", "/etc/lsb-release"} {
 		if data, err := site.FS().ReadFile(rel); err == nil {
-			env.Distro = strings.TrimSpace(strings.Split(string(data), "\n")[0])
+			sys.Distro = strings.TrimSpace(strings.Split(string(data), "\n")[0])
 			break
 		}
 	}
-	return nil
+	return sys, nil
 }
 
 // discoverGlibc determines the C library version: first by "executing" the
@@ -250,7 +278,9 @@ func (e *Engine) discoverStacks(site *sitemodel.Site, env *EnvironmentDescriptio
 			byPrefix[s.Prefix] = s
 		}
 	}
-	mpiccDirs := e.mpiccDirsCached(site)
+	mpiccDirs, _ := deriveCached(e, mpiccKind, site, "", contentStamp(site), func() ([]string, error) {
+		return scanMpiccDirs(site), nil
+	})
 	for _, dir := range mpiccDirs {
 		prefix := strings.TrimSuffix(dir, "/bin")
 		if _, ok := byPrefix[prefix]; ok {

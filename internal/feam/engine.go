@@ -19,11 +19,10 @@ import (
 // Engine is the stateless prediction core: the worker-pool width, the
 // retry policy, and the observability wiring — configuration fixed at
 // construction, never mutated — plus one pure-function memo of compiled
-// hello worlds. All engine
-// *state* (site table, per-site locks, memoized BDC and EDC caches,
-// persisted surveys and bundles) lives behind the SiteRegistry and Store
-// layers, so any number of engines sharing one registry and store see one
-// coherent fleet; the paper's headline use case — assessing many
+// hello worlds. All engine *state* (per-site locks, memoized derived
+// values such as BDC and EDC results, persisted surveys and bundles)
+// lives behind the SiteRegistry and Store layers, so any number of
+// engines sharing one registry and store see one coherent fleet; the paper's headline use case — assessing many
 // (binary, site) pairs — scales by adding engines, not by growing one.
 //
 // Concurrency contract: the engine is immutable and its layers are safe
@@ -125,29 +124,33 @@ func (e *Engine) Describe(ctx context.Context, data []byte, name string) (*Binar
 	sp := e.tracer.Start(obs.OpDescribe,
 		obs.WithParent(obs.SpanFromContext(ctx)), obs.WithBinary(name))
 	hash := contentHash(data)
-	if v, ok := e.sites.LookupDescription(hash, name); ok {
-		sp.Event(obs.EvCache, obs.AttrComponent, "bdc", obs.AttrKey, name,
-			obs.AttrHit, "true", obs.AttrSource, "registry")
-		sp.End(nil)
-		return v.(*BinaryDescription), nil
-	}
-	if desc, ok := e.loadDescription(hash, name); ok {
-		e.sites.StoreDescription(hash, name, desc)
-		sp.Event(obs.EvCache, obs.AttrComponent, "bdc", obs.AttrKey, name,
-			obs.AttrHit, "true", obs.AttrSource, "store")
+	key := hash + "/" + name
+	desc, source := fetchDerived(e, descKind, nil, key, 0)
+	cacheEvent(sp, "bdc", name, source)
+	if source != "" {
 		sp.End(nil)
 		return desc, nil
 	}
-	sp.Event(obs.EvCache, obs.AttrComponent, "bdc", obs.AttrKey, name, obs.AttrHit, "false")
 	desc, err := describeBytes(data, name, hash)
 	if err != nil {
 		sp.End(err)
 		return nil, err
 	}
-	e.sites.StoreDescription(hash, name, desc)
-	e.persistDescription(desc)
+	keepDerived(e, descKind, nil, key, 0, desc)
 	sp.End(nil)
 	return desc, nil
+}
+
+// cacheEvent reports one memoized lookup of a component on a span: a hit
+// with the layer that served it ("registry" or "store"), or a miss when
+// source is empty.
+func cacheEvent(sp *obs.Span, component, key, source string) {
+	if source == "" {
+		sp.Event(obs.EvCache, obs.AttrComponent, component, obs.AttrKey, key, obs.AttrHit, "false")
+		return
+	}
+	sp.Event(obs.EvCache, obs.AttrComponent, component, obs.AttrKey, key,
+		obs.AttrHit, "true", obs.AttrSource, source)
 }
 
 // siteFingerprint condenses everything discovery depends on into a cheap
@@ -185,25 +188,15 @@ func (e *Engine) discoverCached(ctx context.Context, site *sitemodel.Site) (*Env
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	_ = e.sites.Register(site)
 	fp := siteFingerprint(site)
 	lsp := e.tracer.Start(obs.OpRegistry,
 		obs.WithParent(obs.SpanFromContext(ctx)), obs.WithSite(site.Name))
-	if v, ok := e.sites.LookupSurvey(site, fp); ok {
-		lsp.Event(obs.EvCache, obs.AttrComponent, "edc", obs.AttrKey, site.Name,
-			obs.AttrHit, "true", obs.AttrSource, "registry")
-		lsp.End(nil)
-		return v.(*EnvironmentDescription), true, nil
-	}
-	if env, ok := e.loadSurvey(site, fp); ok {
-		e.sites.StoreSurvey(site, fp, env)
-		lsp.Event(obs.EvCache, obs.AttrComponent, "edc", obs.AttrKey, site.Name,
-			obs.AttrHit, "true", obs.AttrSource, "store")
-		lsp.End(nil)
+	env, source := fetchDerived(e, surveyKind, site, "", fp)
+	cacheEvent(lsp, "edc", site.Name, source)
+	lsp.End(nil)
+	if source != "" {
 		return env, true, nil
 	}
-	lsp.Event(obs.EvCache, obs.AttrComponent, "edc", obs.AttrKey, site.Name, obs.AttrHit, "false")
-	lsp.End(nil)
 
 	sp := e.tracer.Start(obs.OpDiscover,
 		obs.WithParent(obs.SpanFromContext(ctx)), obs.WithSite(site.Name))
@@ -213,14 +206,16 @@ func (e *Engine) discoverCached(ctx context.Context, site *sitemodel.Site) (*Env
 		return nil, false, err
 	}
 	sp.End(nil)
-	e.sites.StoreSurvey(site, fp, env)
-	e.persistSurvey(site, fp, env)
+	keepDerived(e, surveyKind, site, "", fp, env)
+	if e.store != nil {
+		_ = PutSiteRecord(e.store, site)
+	}
 	return env, false, nil
 }
 
-// InvalidateSite drops a site's cached environment description from the
-// registry and, when a store is configured, deletes the persisted survey
-// record. Normal mutations are detected by fingerprint; this exists for
+// InvalidateSite drops every value the registry holds for a site (its
+// survey, shards and symbol index) and, when a store is configured,
+// deletes the persisted survey record. Normal mutations are detected by fingerprint; this exists for
 // callers that manage site state outside the site's filesystem and
 // environment.
 func (e *Engine) InvalidateSite(name string) {

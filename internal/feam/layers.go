@@ -8,27 +8,20 @@ import (
 	"feam/internal/sitemodel"
 )
 
-// SiteRegistry is the engine's in-memory state layer: site registration,
-// per-site serialization locks, and the memoized survey and description
-// caches. internal/registry provides the sharded production
-// implementation; the engine itself holds no cache maps or site tables,
-// so any number of engines sharing one SiteRegistry see one coherent
-// fleet. Cached values are stored opaquely: surveys are
-// *EnvironmentDescription, descriptions are *BinaryDescription.
+// SiteRegistry is the engine's in-memory state layer: per-site
+// serialization locks and one memo of derived values. internal/registry
+// provides the sharded production implementation; the engine itself holds
+// no cache maps or site tables, so any number of engines sharing one
+// SiteRegistry see one coherent fleet.
 type SiteRegistry interface {
-	Register(site *sitemodel.Site) error
-	Site(name string) (*sitemodel.Site, bool)
 	SiteLock(name string) *sync.Mutex
-	LookupSurvey(site *sitemodel.Site, fingerprint uint64) (any, bool)
-	StoreSurvey(site *sitemodel.Site, fingerprint uint64, value any)
-	LookupDescription(hash, name string) (any, bool)
-	StoreDescription(hash, name string, value any)
-	// LookupShard and StoreShard cache one survey-shard walk result
-	// (*shardRecord) per (site, shard root), validated by the root's vfs
-	// tree stamp: a stamp mismatch — any mutation under the root — is a
-	// miss, which is what makes whole-site re-surveys incremental.
-	LookupShard(site *sitemodel.Site, root string, stamp uint64) (any, bool)
-	StoreShard(site *sitemodel.Site, root string, stamp uint64, value any)
+	// Lookup returns the value of a kind (derived.go declares the kinds)
+	// cached for (site, key), when it was computed for that same site
+	// object under stamp; a nil site marks a site-independent value.
+	// Store caches one under its stamp.
+	Lookup(kind string, site *sitemodel.Site, key string, stamp uint64) (any, bool)
+	Store(kind string, site *sitemodel.Site, key string, stamp uint64, value any)
+	// Invalidate drops every value cached for a site name.
 	Invalidate(name string)
 }
 
@@ -43,9 +36,12 @@ type Store interface {
 	Delete(kind, key string) error
 }
 
-// Store record namespaces the engine writes.
+// Store record namespaces the engine writes. The derived kinds (survey,
+// bdc, shard, symindex) store one derivedRecord envelope per value, with
+// the identity and stamp it was computed for; a stale record reads as a
+// miss and the value is recomputed.
 const (
-	// KindSurvey holds one surveyRecord per site name.
+	// KindSurvey holds one survey per site name.
 	KindSurvey = "survey"
 	// KindDescription holds one *BinaryDescription per content hash+name.
 	KindDescription = "bdc"
@@ -54,22 +50,13 @@ const (
 	// KindSite holds one siteRecord per site name (fleet inventory).
 	KindSite = "site"
 	// KindShard holds one shardRecord per site name + fnv-hashed shard
-	// root, keyed by the root's tree stamp. Stale records are harmless:
-	// a stamp mismatch reads as a miss and the shard is re-walked.
+	// root, stamped by the root's tree stamp.
 	KindShard = "shard"
 	// KindSymIndex holds one abicheck.Snapshot per site name, stamped
 	// with the env fingerprint + vfs content generation it was built
-	// under; stale records read as misses and the index is rebuilt.
+	// under.
 	KindSymIndex = "symindex"
 )
-
-// surveyRecord is the persisted form of one environment survey: the EDC
-// output plus the fingerprint it was computed under, so rehydration only
-// succeeds for an unchanged site.
-type surveyRecord struct {
-	Fingerprint uint64                  `json:"fingerprint"`
-	Env         *EnvironmentDescription `json:"env"`
-}
 
 // siteRecord is the persisted fleet-inventory entry for one surveyed site.
 type siteRecord struct {
@@ -81,77 +68,22 @@ type siteRecord struct {
 	Cores      int    `json:"cores,omitempty"`
 }
 
-// descriptionKey joins the BDC cache key components for the store.
-func descriptionKey(hash, name string) string { return hash + "/" + name }
-
-// loadSurvey rehydrates a site's survey from the store when a record
-// exists under the exact fingerprint. Absent, stale, or corrupt records
-// are all misses.
-func (e *Engine) loadSurvey(site *sitemodel.Site, fingerprint uint64) (*EnvironmentDescription, bool) {
-	if e.store == nil {
-		return nil, false
-	}
-	payload, ok, _ := e.store.Get(KindSurvey, site.Name)
-	if !ok {
-		return nil, false
-	}
-	var rec surveyRecord
-	if err := json.Unmarshal(payload, &rec); err != nil || rec.Env == nil {
-		return nil, false
-	}
-	if rec.Fingerprint != fingerprint {
-		return nil, false
-	}
-	return rec.Env, true
-}
-
-// persistSurvey writes a site's survey and fleet-inventory records.
-// Persistence is best-effort: a store fault never fails the survey that
-// produced the data.
-func (e *Engine) persistSurvey(site *sitemodel.Site, fingerprint uint64, env *EnvironmentDescription) {
-	if e.store == nil {
-		return
-	}
-	if payload, err := json.Marshal(surveyRecord{Fingerprint: fingerprint, Env: env}); err == nil {
-		_ = e.store.Put(KindSurvey, site.Name, payload)
-	}
-	rec := siteRecord{
+// PutSiteRecord writes a site's fleet-inventory record: the one site
+// record format, written after every real survey and by a server's
+// shutdown commit.
+func PutSiteRecord(st Store, site *sitemodel.Site) error {
+	payload, err := json.Marshal(siteRecord{
 		Name:       site.Name,
 		SystemType: site.SystemType,
 		Arch:       site.Arch.CPUName,
 		OS:         site.OS.Distro + " " + site.OS.Version,
 		Glibc:      site.Glibc.String(),
 		Cores:      site.Cores,
+	})
+	if err != nil {
+		return err
 	}
-	if payload, err := json.Marshal(rec); err == nil {
-		_ = e.store.Put(KindSite, site.Name, payload)
-	}
-}
-
-// loadDescription rehydrates a binary description from the store.
-func (e *Engine) loadDescription(hash, name string) (*BinaryDescription, bool) {
-	if e.store == nil {
-		return nil, false
-	}
-	payload, ok, _ := e.store.Get(KindDescription, descriptionKey(hash, name))
-	if !ok {
-		return nil, false
-	}
-	var desc BinaryDescription
-	if err := json.Unmarshal(payload, &desc); err != nil || desc.ContentHash != hash {
-		return nil, false
-	}
-	return &desc, true
-}
-
-// persistDescription writes a binary description record (best-effort).
-func (e *Engine) persistDescription(desc *BinaryDescription) {
-	if e.store == nil {
-		return
-	}
-	if payload, err := json.Marshal(desc); err == nil {
-		_ = e.store.Put(KindDescription, descriptionKey(desc.ContentHash, desc.Name), payload)
-	}
+	return st.Put(KindSite, site.Name, payload)
 }
 
 // SaveBundle persists a bundle keyed by its application's content hash so

@@ -2,6 +2,7 @@ package feam_test
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -132,6 +133,57 @@ func TestStoreRehydration(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != site.Name {
 		t.Fatalf("StoredSites after restart = %v, %v", names, err)
 	}
+
+	// Shard records and the symbol index rehydrate too. Engine A surveys
+	// and ABI-checks a Table II site; engine B, over the reopened store
+	// with no warm memory and the survey record invalidated, re-surveys
+	// it without walking a shard or building the index.
+	tb := sharedTestbed(t)
+	india := tb.ByName["india"]
+	app := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
+	engA := feam.New(feam.WithStore(st2))
+	if _, err := engA.Discover(ctx, india); err != nil {
+		t.Fatal(err)
+	}
+	repA, err := engA.ABICheck(ctx, india, app.Bytes, "cg.rehydrate", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stB, err := store.Open(stateFS, "/state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	engB := feam.New(feam.WithStore(stB), feam.WithRegistry(registry.New()))
+	engB.InvalidateSite(india.Name)
+	if _, err := engB.Discover(ctx, india); err != nil {
+		t.Fatal(err)
+	}
+	repB, err := engB.ABICheck(ctx, india, app.Bytes, "cg.rehydrate", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	countOps := func(eng *feam.Engine) map[string]int {
+		n := map[string]int{}
+		for _, sp := range eng.Tracer().Snapshot() {
+			n[sp.Op]++
+		}
+		return n
+	}
+	a, b := countOps(engA), countOps(engB)
+	if a[obs.OpShardWalk] == 0 || a[obs.OpSymIndex] != 1 {
+		t.Fatalf("engine A: %d shard walks and %d index builds, want some and 1",
+			a[obs.OpShardWalk], a[obs.OpSymIndex])
+	}
+	if b[obs.OpDiscover] != 1 || b[obs.OpShardWalk] != 0 || b[obs.OpSymIndex] != 0 {
+		t.Errorf("engine B: %d surveys, %d shard walks and %d index builds, want 1, 0 and 0",
+			b[obs.OpDiscover], b[obs.OpShardWalk], b[obs.OpSymIndex])
+	}
+	if got, want := stB.Stats().Loads, int64(a[obs.OpShardWalk]+a[obs.OpSymIndex]); got != want {
+		t.Errorf("engine B loaded %d records, want %d (every shard and the index)", got, want)
+	}
+	if !reflect.DeepEqual(repA, repB) {
+		t.Errorf("rehydrated ABI report differs:\n A %+v\n B %+v", repA, repB)
+	}
 }
 
 // TestStaleSurveyRecordReSurveys: rehydration is fingerprint-gated — after
@@ -251,7 +303,7 @@ func TestEngineHoldsNoState(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := shared.Stats()
-	if st.Surveys == 0 || st.Descriptions == 0 || st.Sites == 0 {
+	if st.Entries[feam.KindSurvey] == 0 || st.Entries[feam.KindDescription] == 0 || st.Sites == 0 {
 		t.Fatalf("registry stats %+v: engine kept state privately", st)
 	}
 	// Swapping the registry out from under an identically-built engine

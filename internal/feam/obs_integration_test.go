@@ -215,8 +215,9 @@ func TestPredictEvaluateEquivalence(t *testing.T) {
 
 // TestFunctionalOptionsWireTheEngine: every option must land on the
 // constructed engine — shared tracer/registry instances, the worker width,
-// and the registry sink feeding span-derived counters — and a per-request
-// ladder is honored.
+// and exactly one registry sink feeding span-derived counters, however
+// many engines share the tracer and metrics — and a per-request ladder is
+// honored.
 func TestFunctionalOptionsWireTheEngine(t *testing.T) {
 	ctx := context.Background()
 	tr := obs.NewTracer(64)
@@ -244,6 +245,10 @@ func TestFunctionalOptionsWireTheEngine(t *testing.T) {
 	if eng.Workers() != 2 {
 		t.Fatalf("Workers = %d, want 2", eng.Workers())
 	}
+	// A second engine over the same tracer and metrics registry (what a
+	// restart builds) must not attach a second registry sink: each span
+	// still counts once.
+	_ = feam.New(feam.WithTracer(tr), feam.WithMetrics(reg))
 
 	site := minimalSite(t)
 	pred, err := eng.Predict(ctx, feam.EvalRequest{
@@ -257,10 +262,10 @@ func TestFunctionalOptionsWireTheEngine(t *testing.T) {
 		t.Fatalf("prediction = %+v", pred)
 	}
 	if got := reg.Counter("evaluations").Load(); got != 1 {
-		t.Errorf("evaluations counter = %d, want 1 (registry sink not wired)", got)
+		t.Errorf("evaluations counter = %d, want 1 (registry sink missing or attached twice)", got)
 	}
 	if got := reg.Histogram(obs.OpEvaluate).Count(); got != 1 {
-		t.Errorf("registry evaluate count = %d, want 1 (registry sink not wired)", got)
+		t.Errorf("registry evaluate count = %d, want 1 (registry sink missing or attached twice)", got)
 	}
 	if tr.Total() == 0 {
 		t.Error("tracer saw no spans")
@@ -272,7 +277,7 @@ func TestFunctionalOptionsWireTheEngine(t *testing.T) {
 		t.Error("zero-option engine missing tracer, metrics, or site registry")
 	}
 	// The shared registry saw the evaluated site's survey traffic.
-	if st := shared.Stats(); st.Surveys == 0 || st.Sites == 0 {
+	if st := shared.Stats(); st.Entries[feam.KindSurvey] == 0 || st.Sites == 0 {
 		t.Errorf("shared registry stats = %+v, want surveyed site recorded", st)
 	}
 }

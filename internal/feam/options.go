@@ -51,19 +51,20 @@ func WithMetrics(r *obs.Registry) Option {
 	return func(c *engineConfig) { c.metrics = r }
 }
 
-// WithRegistry sets the engine's site-state layer: site table, per-site
-// locks, and the memoized survey/description caches. Engines sharing one
-// SiteRegistry share one coherent fleet — one set of site locks, one set
-// of caches — which is what makes running many stateless engines over the
-// same sites safe. A nil registry is replaced by a private sharded one
-// (internal/registry) wired to the engine's metrics.
+// WithRegistry sets the engine's site-state layer: per-site locks and the
+// memo of derived values (surveys, descriptions, shards, symbol indexes).
+// Engines sharing one SiteRegistry share one coherent fleet — one set of
+// site locks, one set of caches — which is what makes running many
+// stateless engines over the same sites safe. A nil registry is replaced
+// by a private sharded one (internal/registry) wired to the engine's
+// metrics.
 func WithRegistry(r SiteRegistry) Option {
 	return func(c *engineConfig) { c.sites = r }
 }
 
 // WithStore sets the engine's persistence layer. With a store configured
-// the engine persists surveys, binary descriptions, bundles, and site
-// records as it computes them, and a restarted process rehydrates them
+// the engine persists surveys, binary descriptions, survey shards, symbol
+// indexes, bundles, and site records as it computes them, and a restarted process rehydrates them
 // instead of re-running discovery. Without one the engine is purely
 // in-memory.
 func WithStore(s Store) Option {
@@ -74,8 +75,9 @@ func WithStore(s Store) Option {
 // a metrics registry, and a site registry (private ones unless injected
 // with WithTracer / WithMetrics / WithRegistry): all pipeline operations
 // emit spans, a registry sink derives the latency histograms and event
-// counters from them, and all engine state lives in the site registry —
-// plus the store, when one is configured with WithStore.
+// counters from them (one sink per tracer and metrics registry, however
+// many engines share them), and all engine state lives in the site
+// registry — plus the store, when one is configured with WithStore.
 func New(opts ...Option) *Engine {
 	cfg := engineConfig{
 		workers: defaultWorkers(),

@@ -2,12 +2,7 @@ package feam
 
 import (
 	"context"
-	"encoding/json"
-	"hash/fnv"
-	"io"
-	"math/bits"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -28,10 +23,9 @@ import (
 // installation prefixes under /opt. Each such root is one survey shard: a
 // walk of that subtree recording every survey-relevant shared object (with
 // its glibc banner/API version and any MPI stack it reveals, parsed at walk
-// time), cached in the registry — and, when configured, the store — under
-// the subtree's vfs tree stamp. A C-library upgrade bumps only the system
-// library directory's stamp, so the next survey re-walks exactly that shard
-// and reuses the rest.
+// time), kept as a shardKind value under the subtree's vfs tree stamp. A
+// C-library upgrade bumps only the system library directory's stamp, so the
+// next survey re-walks exactly that shard and reuses the rest.
 
 // shardLib is one survey-relevant shared object found in a shard walk.
 type shardLib struct {
@@ -47,9 +41,7 @@ type shardLib struct {
 
 // shardRecord is the cached result of walking one shard root.
 type shardRecord struct {
-	Root  string     `json:"root"`
-	Stamp uint64     `json:"stamp"`
-	Libs  []shardLib `json:"libs,omitempty"`
+	Libs []shardLib `json:"libs,omitempty"`
 	// Stacks are the MPI installations whose prefix lies under this root,
 	// parsed from the path naming scheme and the wrapper banner (both of
 	// which live under the same prefix, so the stamp covers them).
@@ -66,7 +58,10 @@ func surveyRelevant(name string) bool {
 
 // shardRoots returns the sorted discovery roots for a site: default
 // library directories, LD_LIBRARY_PATH entries, and each installation
-// prefix under /opt. Every root is one independently cached shard.
+// prefix under /opt. Every root is one independently cached shard. Roots
+// depend only on the environment, the directory layout and ld.so.conf
+// content — never on extended attributes — so the list is kept under
+// contentStamp and survives attribute churn.
 func shardRoots(site *sitemodel.Site) []string {
 	seen := map[string]bool{}
 	var roots []string
@@ -97,30 +92,11 @@ func underRoot(root, p string) bool {
 	return p == root || strings.HasPrefix(p, root+"/")
 }
 
-// rootsShardKey is the registry key for the cached shard-root list; like
-// sysShardRoot, the NUL prefix keeps it disjoint from real roots.
-const rootsShardKey = "\x00roots"
-
-// shardRootsCached caches the root list per site. Roots depend only on the
-// environment (LD_LIBRARY_PATH), directory layout, and ld.so.conf content
-// — never on extended attributes — so the cache keys on the environment
-// fingerprint mixed with the filesystem's content generation and survives
-// attribute churn (banner updates during a C-library rollout).
-func (e *Engine) shardRootsCached(site *sitemodel.Site) []string {
-	stamp := site.EnvFingerprint() ^ bits.RotateLeft64(site.FS().ContentGeneration(), 32)
-	if v, ok := e.sites.LookupShard(site, rootsShardKey, stamp); ok {
-		return v.([]string)
-	}
-	roots := shardRoots(site)
-	e.sites.StoreShard(site, rootsShardKey, stamp, roots)
-	return roots
-}
-
 // walkShard traverses one shard root with Walk and finishes the record.
 // It is the fallback for shards whose tree stamp was served from the memo
 // (so no stamp traversal ran) but whose record was in neither the registry
 // nor the store — a fresh engine over a warmed filesystem.
-func walkShard(site *sitemodel.Site, root string, stamp uint64, parser *elfimg.Parser) (*shardRecord, error) {
+func walkShard(site *sitemodel.Site, root string, parser *elfimg.Parser) (*shardRecord, error) {
 	var libs []shardLib
 	err := site.FS().Walk(root, func(p string, info vfs.FileInfo) error {
 		if info.Kind == vfs.KindDir || !surveyRelevant(info.Name) {
@@ -132,7 +108,7 @@ func walkShard(site *sitemodel.Site, root string, stamp uint64, parser *elfimg.P
 	if err != nil {
 		return nil, err
 	}
-	return finishShardRecord(site, root, stamp, libs, parser), nil
+	return finishShardRecord(site, root, libs, parser), nil
 }
 
 // finishShardRecord turns the survey-relevant entries found under a root
@@ -141,8 +117,8 @@ func walkShard(site *sitemodel.Site, root string, stamp uint64, parser *elfimg.P
 // zero-copy View on the caller's reusable parser), and MPI installation
 // prefixes under the root are parsed into stack records — so the merge
 // phase of a survey never touches the filesystem for cached shards.
-func finishShardRecord(site *sitemodel.Site, root string, stamp uint64, libs []shardLib, parser *elfimg.Parser) *shardRecord {
-	rec := &shardRecord{Root: root, Stamp: stamp, Libs: libs}
+func finishShardRecord(site *sitemodel.Site, root string, libs []shardLib, parser *elfimg.Parser) *shardRecord {
+	rec := &shardRecord{Libs: libs}
 	for i := range rec.Libs {
 		if rec.Libs[i].Name == "libc.so.6" {
 			recordGlibc(site, rec.Libs[i].Path, &rec.Libs[i], parser)
@@ -224,55 +200,22 @@ func highestGlibcFromView(v *elfimg.View) string {
 	return best.String()
 }
 
-// shardStoreKey derives the persistent-store key for one shard: the site
-// name plus the fnv hash of the root path.
-func shardStoreKey(site *sitemodel.Site, root string) string {
-	h := fnv.New64a()
-	io.WriteString(h, root)
-	return site.Name + "/" + strconv.FormatUint(h.Sum64(), 16)
-}
-
-// loadShardRecord rehydrates one shard record from the store when it
-// matches the root's current tree stamp.
-func (e *Engine) loadShardRecord(site *sitemodel.Site, root string, stamp uint64) (*shardRecord, bool) {
-	if e.store == nil {
-		return nil, false
-	}
-	payload, ok, _ := e.store.Get(KindShard, shardStoreKey(site, root))
-	if !ok {
-		return nil, false
-	}
-	var rec shardRecord
-	if err := json.Unmarshal(payload, &rec); err != nil || rec.Root != root || rec.Stamp != stamp {
-		return nil, false
-	}
-	return &rec, true
-}
-
-// persistShardRecord writes one shard record (best-effort, like all
-// survey persistence).
-func (e *Engine) persistShardRecord(site *sitemodel.Site, rec *shardRecord) {
-	if e.store == nil {
-		return
-	}
-	if payload, err := json.Marshal(rec); err == nil {
-		_ = e.store.Put(KindShard, shardStoreKey(site, rec.Root), payload)
-	}
-}
-
 // surveyShards resolves every shard for a site. The serial phase stamps
 // each root — a stamp recompute doubles as the shard traversal via
-// TreeStampVisit, so a mutated shard is walked exactly once — and consults
-// the registry and store. Shards that still need work (version parsing for
-// freshly traversed shards, a full walk for memo-hit stamps with no cached
-// record) fan out across a bounded worker pool, each worker reusing one
-// zero-copy ELF parser. Each shard rebuild is traced as an OpShardWalk
-// span. Records come back in root order; nil entries mark shards that were
-// unreadable (vanished mid-survey or failing under fault injection), and
-// discovery proceeds without them — matching the old glob searches that
-// ignored per-directory errors.
+// TreeStampVisit, so a mutated shard is walked exactly once — and fetches
+// the shard's kept record. Shards that still need work (version parsing
+// for freshly traversed shards, a full walk for memo-hit stamps with no
+// kept record) fan out across a bounded worker pool, each worker reusing
+// one zero-copy ELF parser, and are kept once the pool is done. Each shard
+// rebuild is traced as an OpShardWalk span. Records come back in root
+// order; nil entries mark shards that were unreadable (vanished
+// mid-survey or failing under fault injection), and discovery proceeds
+// without them — matching the old glob searches that ignored
+// per-directory errors.
 func (e *Engine) surveyShards(ctx context.Context, site *sitemodel.Site) ([]*shardRecord, error) {
-	roots := e.shardRootsCached(site)
+	roots, _ := deriveCached(e, rootsKind, site, "", contentStamp(site), func() ([]string, error) {
+		return shardRoots(site), nil
+	})
 	recs := make([]*shardRecord, len(roots))
 	stamps := make([]uint64, len(roots))
 	libs := make([][]shardLib, len(roots))
@@ -291,12 +234,7 @@ func (e *Engine) surveyShards(ctx context.Context, site *sitemodel.Site) ([]*sha
 			continue
 		}
 		stamps[i] = stamp
-		if v, ok := e.sites.LookupShard(site, root, stamp); ok {
-			recs[i] = v.(*shardRecord)
-			continue
-		}
-		if rec, ok := e.loadShardRecord(site, root, stamp); ok {
-			e.sites.StoreShard(site, root, stamp, rec)
+		if rec, source := fetchDerived(e, shardKind, site, root, stamp); source != "" {
 			recs[i] = rec
 			continue
 		}
@@ -311,26 +249,15 @@ func (e *Engine) surveyShards(ctx context.Context, site *sitemodel.Site) ([]*sha
 		sp := e.tracer.Start(obs.OpShardWalk,
 			obs.WithParent(parent), obs.WithSite(site.Name))
 		sp.SetAttr(obs.AttrDir, roots[i])
-		var rec *shardRecord
 		var err error
 		if traversed[i] {
-			rec = finishShardRecord(site, roots[i], stamps[i], libs[i], parser)
+			recs[i] = finishShardRecord(site, roots[i], libs[i], parser)
 		} else {
-			rec, err = walkShard(site, roots[i], stamps[i], parser)
+			recs[i], err = walkShard(site, roots[i], parser)
 		}
 		sp.End(err)
-		if err != nil {
-			return
-		}
-		recs[i] = rec
-		e.sites.StoreShard(site, roots[i], stamps[i], rec)
-		e.persistShardRecord(site, rec)
 	}
-	workers := e.workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers <= 1 {
+	if workers := min(e.workers, len(pending)); workers <= 1 {
 		var parser elfimg.Parser
 		for _, i := range pending {
 			if ctx.Err() != nil {
@@ -338,28 +265,33 @@ func (e *Engine) surveyShards(ctx context.Context, site *sitemodel.Site) ([]*sha
 			}
 			buildOne(i, &parser)
 		}
-		return recs, ctx.Err()
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var parser elfimg.Parser
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue
+	} else {
+		idx := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var parser elfimg.Parser
+				for i := range idx {
+					if ctx.Err() != nil {
+						continue
+					}
+					buildOne(i, &parser)
 				}
-				buildOne(i, &parser)
-			}
-		}()
+			}()
+		}
+		for _, i := range pending {
+			idx <- i
+		}
+		close(idx)
+		wg.Wait()
 	}
 	for _, i := range pending {
-		idx <- i
+		if recs[i] != nil {
+			keepDerived(e, shardKind, site, roots[i], stamps[i], recs[i])
+		}
 	}
-	close(idx)
-	wg.Wait()
 	return recs, ctx.Err()
 }
 
@@ -385,65 +317,16 @@ func findShardLib(shards []*shardRecord, name string) (shardLib, bool) {
 	return best, found
 }
 
-// mpiccShardKey is the registry key for the cached PATH wrapper scan.
-const mpiccShardKey = "\x00mpicc"
-
-// mpiccDirsCached returns the PATH directories containing an mpicc
-// wrapper, in PATH order, cached like the root list: wrapper existence
-// depends on PATH and the namespace, never on attributes.
-func (e *Engine) mpiccDirsCached(site *sitemodel.Site) []string {
-	stamp := site.EnvFingerprint() ^ bits.RotateLeft64(site.FS().ContentGeneration(), 32)
-	if v, ok := e.sites.LookupShard(site, mpiccShardKey, stamp); ok {
-		return v.([]string)
-	}
+// scanMpiccDirs returns the PATH directories containing an mpicc wrapper,
+// in PATH order. Wrapper existence depends on PATH and the namespace,
+// never on attributes, so the list is kept under contentStamp like the
+// roots.
+func scanMpiccDirs(site *sitemodel.Site) []string {
 	var dirs []string
 	for _, dir := range envmgmt.SplitPathVar(site.Getenv("PATH")) {
 		if site.FS().Exists(dir + "/mpicc") {
 			dirs = append(dirs, dir)
 		}
 	}
-	e.sites.StoreShard(site, mpiccShardKey, stamp, dirs)
 	return dirs
-}
-
-// sysShardRoot is the registry key for the cached system survey; the NUL
-// prefix keeps it disjoint from real filesystem roots.
-const sysShardRoot = "\x00system"
-
-// sysRecord caches the parsed system surface (uname, /proc/version,
-// /etc/*release) keyed by the tree stamps of /proc and /etc.
-type sysRecord struct {
-	UnameProcessor string
-	ISA            elfimg.Machine
-	Bits           int
-	OSType         string
-	OSVersion      string
-	Distro         string
-}
-
-// discoverSystemCached is discoverSystem behind the shard cache: the
-// parsed system surface is reused until /proc or /etc changes. Sites whose
-// stamps cannot be read (fault injection, outages) take the live path so
-// failures surface exactly as they did before.
-func (e *Engine) discoverSystemCached(site *sitemodel.Site, env *EnvironmentDescription) error {
-	ps, perr := site.FS().TreeStamp("/proc")
-	es, eerr := site.FS().TreeStamp("/etc")
-	if perr != nil || eerr != nil {
-		return discoverSystem(site, env)
-	}
-	stamp := ps ^ bits.RotateLeft64(es, 32)
-	if v, ok := e.sites.LookupShard(site, sysShardRoot, stamp); ok {
-		rec := v.(*sysRecord)
-		env.UnameProcessor, env.ISA, env.Bits = rec.UnameProcessor, rec.ISA, rec.Bits
-		env.OSType, env.OSVersion, env.Distro = rec.OSType, rec.OSVersion, rec.Distro
-		return nil
-	}
-	if err := discoverSystem(site, env); err != nil {
-		return err
-	}
-	e.sites.StoreShard(site, sysShardRoot, stamp, &sysRecord{
-		UnameProcessor: env.UnameProcessor, ISA: env.ISA, Bits: env.Bits,
-		OSType: env.OSType, OSVersion: env.OSVersion, Distro: env.Distro,
-	})
-	return nil
 }

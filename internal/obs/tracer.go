@@ -53,7 +53,9 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{ring: make([]*Span, capacity), now: time.Now}
 }
 
-// AddSink registers a lifecycle observer.
+// AddSink registers a lifecycle observer. A RegistrySink for a metrics
+// registry this tracer already feeds is ignored, so engines rebuilt over
+// one tracer and one metrics registry (a restart) count each span once.
 func (t *Tracer) AddSink(s Sink) {
 	if t == nil || s == nil {
 		return
@@ -63,6 +65,13 @@ func (t *Tracer) AddSink(s Sink) {
 	var next []Sink
 	if cur := t.sinks.Load(); cur != nil {
 		next = append(next, *cur...)
+	}
+	if rs, ok := s.(*RegistrySink); ok {
+		for _, cur := range next {
+			if c, ok := cur.(*RegistrySink); ok && c.reg == rs.reg {
+				return
+			}
+		}
 	}
 	next = append(next, s)
 	t.sinks.Store(&next)

@@ -24,12 +24,12 @@ func BenchmarkRegistryLookupSurvey(b *testing.B) {
 	r := registry.New()
 	sites := benchSites(b, 32)
 	for i, s := range sites {
-		r.StoreSurvey(s, uint64(i), i)
+		r.Store("survey", s, "", uint64(i), i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := sites[i%len(sites)]
-		if _, ok := r.LookupSurvey(s, uint64(i%len(sites))); !ok {
+		if _, ok := r.Lookup("survey", s, "", uint64(i%len(sites))); !ok {
 			b.Fatal("warm lookup missed")
 		}
 	}
@@ -44,7 +44,7 @@ func BenchmarkRegistryStoreSurvey(b *testing.B) {
 	sites := benchSites(b, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.StoreSurvey(sites[i%len(sites)], uint64(i), i)
+		r.Store("survey", sites[i%len(sites)], "", uint64(i), i)
 	}
 	b.ReportMetric(float64(r.Stats().Evictions)/float64(b.N), "evictions/op")
 }
@@ -56,7 +56,7 @@ func BenchmarkRegistryParallel(b *testing.B) {
 	r := registry.New()
 	sites := benchSites(b, 64)
 	for i, s := range sites {
-		r.StoreSurvey(s, uint64(i), i)
+		r.Store("survey", s, "", uint64(i), i)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -64,9 +64,9 @@ func BenchmarkRegistryParallel(b *testing.B) {
 		for pb.Next() {
 			s := sites[i%len(sites)]
 			if i%8 == 0 {
-				r.StoreSurvey(s, uint64(i%len(sites)), i)
+				r.Store("survey", s, "", uint64(i%len(sites)), i)
 			} else {
-				r.LookupSurvey(s, uint64(i%len(sites)))
+				r.Lookup("survey", s, "", uint64(i%len(sites)))
 			}
 			i++
 		}
@@ -84,13 +84,13 @@ func BenchmarkRegistryShardCount(b *testing.B) {
 			r := registry.New(registry.WithShards(shards))
 			sites := benchSites(b, 64)
 			for i, s := range sites {
-				r.StoreSurvey(s, uint64(i), i)
+				r.Store("survey", s, "", uint64(i), i)
 			}
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
-					r.LookupSurvey(sites[i%len(sites)], uint64(i%len(sites)))
+					r.Lookup("survey", sites[i%len(sites)], "", uint64(i%len(sites)))
 					i++
 				}
 			})

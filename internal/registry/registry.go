@@ -1,30 +1,28 @@
 // Package registry is FEAM's shared site-state layer: a sharded, bounded,
-// concurrency-safe registry owning site registration, per-site
-// serialization locks, and the memoized survey (EDC) and binary
-// description (BDC) caches that used to live inside one feam.Engine.
+// concurrency-safe registry owning the per-site serialization locks and
+// one memo of everything the engine derives from sites and binaries —
+// surveys (EDC), binary descriptions (BDC), survey shards, symbol indexes
+// and the smaller values a survey is assembled from.
 //
 // The paper's headline workload is assessing many (binary, site) pairs
-// across a fleet; FEAM-as-a-service (ROADMAP item 1) runs many prediction
-// engines over that fleet concurrently. The registry is the piece that
-// makes the engines stateless: every engine reads and writes survey and
-// description state here, so two engines sharing one registry see one
-// coherent fleet and serialize site-mutating work on one set of locks.
+// across a fleet; FEAM-as-a-service runs many prediction engines over that
+// fleet concurrently. The registry is the piece that makes the engines
+// stateless: every engine reads and writes derived state here, so two
+// engines sharing one registry see one coherent fleet and serialize
+// site-mutating work on one set of locks.
 //
 // Layout: a fixed number of shards, each guarded by its own RWMutex, each
-// holding a slice of the site table plus an LRU-bounded cache of survey
-// and description entries. Survey entries are keyed by site name and
-// validated against the caller's fingerprint (environment-variable hash +
-// vfs mutation generation), so any site mutation reads as a miss without
-// the registry ever watching the site. Evictions, hits, and misses are
-// counted into an optional obs metrics registry (`registry_hit`,
-// `registry_miss`, `registry_evict`).
+// holding a slice of the lock table plus one LRU-bounded cache of entries.
+// An entry is keyed by (kind, site name, key) and validated by the site
+// object and the stamp it was computed for, so any site mutation that
+// moves the caller's stamp reads as a miss without the registry ever
+// watching the site. Evictions, hits, and misses are counted into an
+// optional obs metrics registry (`registry_hit`, `registry_miss`,
+// `registry_evict`).
 package registry
 
 import (
 	"container/list"
-	"fmt"
-	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -33,8 +31,8 @@ import (
 )
 
 // Defaults: shard count balances lock contention against per-shard LRU
-// bookkeeping; capacity bounds each shard's cache (surveys + descriptions
-// share one LRU list) far above a testbed's working set.
+// bookkeeping; capacity bounds each shard's cache (all kinds share one
+// LRU list) far above a testbed's working set.
 const (
 	DefaultShards        = 16
 	DefaultShardCapacity = 256
@@ -69,9 +67,9 @@ func WithMetrics(m *obs.Registry) Option {
 }
 
 // WithFaultHook installs a fault-injection seam consulted before every
-// registry operation; fault.Hook adapts a fault.Injector to it. A failed
-// lookup reads as a cache miss, a failed store drops the entry, and a
-// failed Register returns the error.
+// lookup, store and invalidation; fault.Hook adapts a fault.Injector to
+// it. A failed lookup reads as a cache miss, a failed store drops the
+// entry, and a failed invalidation keeps the entries.
 func WithFaultHook(h func(op, key string) error) Option {
 	return func(r *Registry) { r.hook = h }
 }
@@ -91,61 +89,28 @@ type Registry struct {
 	hitCtr, missCtr, evictCtr *obs.Counter
 }
 
-// shard is one lock domain: a slice of the site table plus the LRU-bounded
-// survey/description caches. The mutex is a leaf lock — nothing blocking
-// (surveys, probes, store I/O) may run while it is held.
-//
-// walks holds survey-shard walk records (not to be confused with the
-// registry's own lock shards): one entry per (site, discovery root),
-// colocated in the site's lock domain so Invalidate clears them together
-// with the site's survey.
+// shard is one lock domain: a slice of the lock table plus the
+// LRU-bounded entries of every kind. The mutex is a leaf lock — nothing
+// blocking (surveys, probes, store I/O) may run while it is held.
 type shard struct {
 	mu      sync.RWMutex
-	sites   map[string]*siteEntry
-	surveys map[string]*list.Element
-	descs   map[descKey]*list.Element
-	walks   map[walkKey]*list.Element
+	locks   map[string]*sync.Mutex
+	entries map[entryKey]*list.Element
 	lru     list.List
 }
 
-// siteEntry is one registered site and its serialization lock. The lock
-// outlives re-registration so callers holding it stay correct across a
-// site-object refresh.
-type siteEntry struct {
-	site *sitemodel.Site
-	lock *sync.Mutex
-}
+// entryKey identifies one cached value: its kind, the name of the site it
+// was derived from ("" for site-independent values) and a kind-specific
+// key.
+type entryKey struct{ kind, site, key string }
 
-// surveyEntry caches one environment survey under the fingerprint and site
-// object it was computed for. The site pointer comparison keeps two
-// distinct Site objects sharing a name from ever sharing an entry.
-type surveyEntry struct {
-	name        string
-	site        *sitemodel.Site
-	fingerprint uint64
-	value       any
-}
-
-// walkKey identifies one survey-shard walk record: site name plus the
-// discovery root that was walked.
-type walkKey struct{ name, root string }
-
-// walkEntry caches one shard walk under the tree stamp and site object it
-// was computed for; a stamp or site-pointer mismatch is a miss.
-type walkEntry struct {
-	key   walkKey
+// entry is one cached value with the site object and stamp it was
+// computed for. The site pointer comparison keeps two distinct Site
+// objects sharing a name from ever sharing an entry.
+type entry struct {
+	id    entryKey
 	site  *sitemodel.Site
 	stamp uint64
-	value any
-}
-
-// descKey identifies a binary description: content hash plus the name it
-// was described under (the name feeds stage-dir derivation).
-type descKey struct{ hash, name string }
-
-// descEntry caches one binary description.
-type descEntry struct {
-	key   descKey
 	value any
 }
 
@@ -158,11 +123,8 @@ func New(opts ...Option) *Registry {
 	}
 	r.shards = make([]shard, r.nshards)
 	for i := range r.shards {
-		s := &r.shards[i]
-		s.sites = map[string]*siteEntry{}
-		s.surveys = map[string]*list.Element{}
-		s.descs = map[descKey]*list.Element{}
-		s.walks = map[walkKey]*list.Element{}
+		r.shards[i].locks = map[string]*sync.Mutex{}
+		r.shards[i].entries = map[entryKey]*list.Element{}
 	}
 	if r.metrics != nil {
 		r.hitCtr = r.metrics.Counter("registry_hit")
@@ -172,18 +134,37 @@ func New(opts ...Option) *Registry {
 	return r
 }
 
-func (r *Registry) shardFor(key string) *shard {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return &r.shards[h.Sum64()%uint64(len(r.shards))]
+// shardFor hashes a name (FNV-64a, inline so a lookup allocates nothing)
+// onto its shard.
+func (r *Registry) shardFor(name string) *shard {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	return &r.shards[h%uint64(len(r.shards))]
 }
 
-// fail consults the fault hook for one operation.
-func (r *Registry) fail(op, key string) error {
+// place resolves an entry's identity and lock domain: site-bound entries
+// live in their site's shard, so Invalidate finds every kind of a site in
+// one place; site-independent entries spread by key.
+func (r *Registry) place(kind string, site *sitemodel.Site, key string) (entryKey, *shard) {
+	if site == nil {
+		return entryKey{kind: kind, key: key}, r.shardFor(key)
+	}
+	return entryKey{kind: kind, site: site.Name, key: key}, r.shardFor(site.Name)
+}
+
+// fail consults the fault hook for one operation on an entry, naming it
+// by its site (or, for a site-independent entry, its key).
+func (r *Registry) fail(op string, id entryKey) error {
 	if r.hook == nil {
 		return nil
 	}
-	return r.hook(op, key)
+	if id.site != "" {
+		return r.hook(op, id.site)
+	}
+	return r.hook(op, id.key)
 }
 
 func (r *Registry) count(c *atomic.Int64, ctr *obs.Counter) {
@@ -193,136 +174,42 @@ func (r *Registry) count(c *atomic.Int64, ctr *obs.Counter) {
 	}
 }
 
-// Register adds or refreshes a site in the registry's site table. It is
-// idempotent; re-registering a name updates the site pointer but keeps the
-// existing per-site lock.
-func (r *Registry) Register(site *sitemodel.Site) error {
-	if site == nil {
-		return fmt.Errorf("registry: cannot register a nil site")
-	}
-	if err := r.fail("register", site.Name); err != nil {
-		return fmt.Errorf("registry: register %s: %w", site.Name, err)
-	}
-	s := r.shardFor(site.Name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ent, ok := s.sites[site.Name]; ok {
-		ent.site = site
-		return nil
-	}
-	s.sites[site.Name] = &siteEntry{site: site, lock: &sync.Mutex{}}
-	return nil
-}
-
-// Site returns the registered site for a name.
-func (r *Registry) Site(name string) (*sitemodel.Site, bool) {
-	s := r.shardFor(name)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ent, ok := s.sites[name]
-	if !ok || ent.site == nil {
-		return nil, false
-	}
-	return ent.site, true
-}
-
-// Sites returns the sorted names of every registered site.
-func (r *Registry) Sites() []string {
-	var names []string
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for name, ent := range s.sites {
-			if ent.site != nil {
-				names = append(names, name)
-			}
-		}
-		s.mu.RUnlock()
-	}
-	sort.Strings(names)
-	return names
-}
-
-// SiteLock returns the serialization lock for a site name, creating a
-// table entry on first use. Everything that mutates a site's filesystem
-// or environment must run under it when the registry is shared.
+// SiteLock returns the serialization lock for a site name, creating it on
+// first use. Everything that mutates a site's filesystem or environment
+// must run under it when the registry is shared. Locks are never dropped,
+// so a caller holding one stays correct across invalidations.
 func (r *Registry) SiteLock(name string) *sync.Mutex {
 	s := r.shardFor(name)
 	s.mu.RLock()
-	ent, ok := s.sites[name]
+	l, ok := s.locks[name]
 	s.mu.RUnlock()
 	if ok {
-		return ent.lock
+		return l
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ent, ok = s.sites[name]; !ok {
-		ent = &siteEntry{lock: &sync.Mutex{}}
-		s.sites[name] = ent
+	if l, ok = s.locks[name]; !ok {
+		l = &sync.Mutex{}
+		s.locks[name] = l
 	}
-	return ent.lock
+	return l
 }
 
-// LookupSurvey returns the cached survey for a site when the entry was
-// computed for the same site object under the same fingerprint; any
-// mismatch — mutation, invalidation, eviction, or a different Site object
-// sharing the name — is a miss.
-func (r *Registry) LookupSurvey(site *sitemodel.Site, fingerprint uint64) (any, bool) {
-	if site == nil || r.fail("lookup", site.Name) != nil {
+// Lookup returns the cached value of a kind for (site, key) when the
+// entry was computed for the same site object under the same stamp; any
+// mismatch — a mutation that moved the stamp, invalidation, eviction, or
+// a different Site object sharing the name — is a miss. A nil site names
+// a site-independent entry, identified by its key alone.
+func (r *Registry) Lookup(kind string, site *sitemodel.Site, key string, stamp uint64) (any, bool) {
+	id, s := r.place(kind, site, key)
+	if r.fail("lookup", id) != nil {
 		r.count(&r.misses, r.missCtr)
 		return nil, false
 	}
-	s := r.shardFor(site.Name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.surveys[site.Name]
-	if ok {
-		ent := el.Value.(*surveyEntry)
-		if ent.site == site && ent.fingerprint == fingerprint {
-			s.lru.MoveToFront(el)
-			r.count(&r.hits, r.hitCtr)
-			return ent.value, true
-		}
-	}
-	r.count(&r.misses, r.missCtr)
-	return nil, false
-}
-
-// StoreSurvey caches a survey result for a site object under its
-// fingerprint, evicting the shard's least recently used entry when full.
-func (r *Registry) StoreSurvey(site *sitemodel.Site, fingerprint uint64, value any) {
-	if site == nil || r.fail("store", site.Name) != nil {
-		return
-	}
-	s := r.shardFor(site.Name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.surveys[site.Name]; ok {
-		ent := el.Value.(*surveyEntry)
-		ent.site, ent.fingerprint, ent.value = site, fingerprint, value
-		s.lru.MoveToFront(el)
-		return
-	}
-	r.evictLocked(s)
-	ent := &surveyEntry{name: site.Name, site: site, fingerprint: fingerprint, value: value}
-	s.surveys[site.Name] = s.lru.PushFront(ent)
-}
-
-// LookupShard returns the cached shard-walk record for a site and
-// discovery root when the entry was computed for the same site object
-// under the same tree stamp; any mismatch — a mutation under the root,
-// eviction, or a different Site object sharing the name — is a miss.
-func (r *Registry) LookupShard(site *sitemodel.Site, root string, stamp uint64) (any, bool) {
-	if site == nil || r.fail("lookup", site.Name) != nil {
-		r.count(&r.misses, r.missCtr)
-		return nil, false
-	}
-	key := walkKey{name: site.Name, root: root}
-	s := r.shardFor(site.Name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.walks[key]; ok {
-		ent := el.Value.(*walkEntry)
+	if el, ok := s.entries[id]; ok {
+		ent := el.Value.(*entry)
 		if ent.site == site && ent.stamp == stamp {
 			s.lru.MoveToFront(el)
 			r.count(&r.hits, r.hitCtr)
@@ -333,137 +220,81 @@ func (r *Registry) LookupShard(site *sitemodel.Site, root string, stamp uint64) 
 	return nil, false
 }
 
-// StoreShard caches a shard-walk record for a site object under the
-// root's tree stamp, evicting the shard's least recently used entry when
-// full.
-func (r *Registry) StoreShard(site *sitemodel.Site, root string, stamp uint64, value any) {
-	if site == nil || r.fail("store", site.Name) != nil {
+// Store caches a value of a kind for (site, key) under its stamp,
+// replacing any entry of that identity and evicting the shard's least
+// recently used entry when full.
+func (r *Registry) Store(kind string, site *sitemodel.Site, key string, stamp uint64, value any) {
+	id, s := r.place(kind, site, key)
+	if r.fail("store", id) != nil {
 		return
 	}
-	key := walkKey{name: site.Name, root: root}
-	s := r.shardFor(site.Name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.walks[key]; ok {
-		ent := el.Value.(*walkEntry)
+	if el, ok := s.entries[id]; ok {
+		ent := el.Value.(*entry)
 		ent.site, ent.stamp, ent.value = site, stamp, value
 		s.lru.MoveToFront(el)
 		return
 	}
-	r.evictLocked(s)
-	s.walks[key] = s.lru.PushFront(&walkEntry{key: key, site: site, stamp: stamp, value: value})
-}
-
-// LookupDescription returns the cached binary description for a content
-// hash and name.
-func (r *Registry) LookupDescription(hash, name string) (any, bool) {
-	key := descKey{hash: hash, name: name}
-	if r.fail("lookup", name) != nil {
-		r.count(&r.misses, r.missCtr)
-		return nil, false
-	}
-	s := r.shardFor(hash + "\x00" + name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.descs[key]; ok {
-		s.lru.MoveToFront(el)
-		r.count(&r.hits, r.hitCtr)
-		return el.Value.(*descEntry).value, true
-	}
-	r.count(&r.misses, r.missCtr)
-	return nil, false
-}
-
-// StoreDescription caches a binary description, evicting the shard's
-// least recently used entry when full.
-func (r *Registry) StoreDescription(hash, name string, value any) {
-	key := descKey{hash: hash, name: name}
-	if r.fail("store", name) != nil {
-		return
-	}
-	s := r.shardFor(hash + "\x00" + name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.descs[key]; ok {
-		el.Value.(*descEntry).value = value
-		s.lru.MoveToFront(el)
-		return
-	}
-	r.evictLocked(s)
-	s.descs[key] = s.lru.PushFront(&descEntry{key: key, value: value})
-}
-
-// evictLocked makes room for one insertion, dropping the least recently
-// used entry when the shard is at capacity. Caller holds s.mu.
-func (r *Registry) evictLocked(s *shard) {
 	for s.lru.Len() >= r.capacity {
 		el := s.lru.Back()
-		if el == nil {
-			return
-		}
 		s.lru.Remove(el)
-		switch ent := el.Value.(type) {
-		case *surveyEntry:
-			delete(s.surveys, ent.name)
-		case *descEntry:
-			delete(s.descs, ent.key)
-		case *walkEntry:
-			delete(s.walks, ent.key)
-		}
+		delete(s.entries, el.Value.(*entry).id)
 		r.count(&r.evictions, r.evictCtr)
 	}
+	s.entries[id] = s.lru.PushFront(&entry{id: id, site: site, stamp: stamp, value: value})
 }
 
-// Invalidate drops a site's cached survey and shard-walk records. The
-// site table entry and its lock survive; normal mutations are caught by
-// fingerprint and tree stamp, so this exists for callers that manage site
-// state outside the site's filesystem and environment.
+// Invalidate drops every cached entry of a site, of every kind. The
+// site's lock survives; normal mutations are caught by stamps, so this
+// exists for callers that manage site state outside the site's
+// filesystem and environment.
 func (r *Registry) Invalidate(name string) {
-	if r.fail("invalidate", name) != nil {
+	if r.fail("invalidate", entryKey{site: name}) != nil {
 		return
 	}
 	s := r.shardFor(name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.surveys[name]; ok {
-		s.lru.Remove(el)
-		delete(s.surveys, name)
-	}
-	for key, el := range s.walks {
-		if key.name == name {
+	for id, el := range s.entries {
+		if id.site == name {
 			s.lru.Remove(el)
-			delete(s.walks, key)
+			delete(s.entries, id)
 		}
 	}
 }
 
 // Stats is a point-in-time summary of registry occupancy and traffic.
 type Stats struct {
-	Sites        int
-	Surveys      int
-	Descriptions int
-	// ShardWalks counts cached survey-shard walk records.
-	ShardWalks int
-	Hits       int64
-	Misses     int64
-	Evictions  int64
+	// Sites counts the sites holding at least one entry.
+	Sites int
+	// Entries counts cached entries per kind.
+	Entries   map[string]int
+	Hits      int64
+	Misses    int64
+	Evictions int64
 }
 
 // Stats reports current occupancy plus lifetime hit/miss/eviction counts.
 func (r *Registry) Stats() Stats {
 	st := Stats{
+		Entries:   map[string]int{},
 		Hits:      r.hits.Load(),
 		Misses:    r.misses.Load(),
 		Evictions: r.evictions.Load(),
 	}
 	for i := range r.shards {
 		s := &r.shards[i]
+		sites := map[string]bool{}
 		s.mu.RLock()
-		st.Sites += len(s.sites)
-		st.Surveys += len(s.surveys)
-		st.Descriptions += len(s.descs)
-		st.ShardWalks += len(s.walks)
+		for id := range s.entries {
+			st.Entries[id.kind]++
+			if id.site != "" {
+				sites[id.site] = true
+			}
+		}
 		s.mu.RUnlock()
+		st.Sites += len(sites)
 	}
 	return st
 }

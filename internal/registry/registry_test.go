@@ -14,6 +14,13 @@ import (
 	"feam/internal/sitemodel"
 )
 
+// Kinds as the engine names them; the registry treats them as opaque.
+const (
+	survey = "survey"
+	bdc    = "bdc"
+	shard  = "shard"
+)
+
 func newSite(t testing.TB, name string) *sitemodel.Site {
 	t.Helper()
 	return sitemodel.New(name,
@@ -25,36 +32,66 @@ func newSite(t testing.TB, name string) *sitemodel.Site {
 func TestRegisterLookupInvalidate(t *testing.T) {
 	r := registry.New()
 	site := newSite(t, "india")
-	if err := r.Register(site); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := r.Site("india")
-	if !ok || got != site {
-		t.Fatalf("Site(india) = %v, %v", got, ok)
-	}
-	if _, ok := r.Site("nowhere"); ok {
-		t.Fatal("unregistered site resolved")
-	}
-	if names := r.Sites(); len(names) != 1 || names[0] != "india" {
-		t.Fatalf("Sites() = %v", names)
-	}
+	lock := r.SiteLock("india")
 
-	survey := &struct{ v int }{1}
-	r.StoreSurvey(site, 42, survey)
-	if v, ok := r.LookupSurvey(site, 42); !ok || v != survey {
+	env := &struct{ v int }{1}
+	r.Store(survey, site, "", 42, env)
+	if v, ok := r.Lookup(survey, site, "", 42); !ok || v != env {
 		t.Fatal("stored survey not returned")
 	}
 	// Wrong fingerprint is a miss; the entry survives for the right one.
-	if _, ok := r.LookupSurvey(site, 43); ok {
+	if _, ok := r.Lookup(survey, site, "", 43); ok {
 		t.Fatal("fingerprint mismatch must miss")
 	}
 	r.Invalidate("india")
-	if _, ok := r.LookupSurvey(site, 42); ok {
+	if _, ok := r.Lookup(survey, site, "", 42); ok {
 		t.Fatal("invalidated survey still served")
 	}
-	// The site table and lock survive invalidation.
-	if _, ok := r.Site("india"); !ok {
-		t.Fatal("Invalidate dropped the site registration")
+	// The site lock survives invalidation.
+	if r.SiteLock("india") != lock {
+		t.Fatal("Invalidate replaced the site lock")
+	}
+}
+
+// TestInvalidateDropsEveryKind: one entry type holds every kind, so
+// invalidating a site drops all of its entries — and nothing of other
+// sites or site-independent entries — and Stats counts per kind.
+func TestInvalidateDropsEveryKind(t *testing.T) {
+	r := registry.New()
+	india, fir := newSite(t, "india"), newSite(t, "fir")
+	for _, site := range []*sitemodel.Site{india, fir} {
+		r.Store(survey, site, "", 1, "env")
+		r.Store(shard, site, "/lib64", 2, "lib64")
+		r.Store(shard, site, "/opt/a", 3, "opt")
+	}
+	r.Store(bdc, nil, "hash/app", 0, "desc")
+	st := r.Stats()
+	if st.Sites != 2 || st.Entries[survey] != 2 || st.Entries[shard] != 4 || st.Entries[bdc] != 1 {
+		t.Fatalf("stats before invalidation = %+v", st)
+	}
+	// A key is scoped to its kind: a shard entry never answers a survey.
+	if _, ok := r.Lookup(survey, india, "/lib64", 2); ok {
+		t.Fatal("shard entry served as a survey")
+	}
+	r.Invalidate("india")
+	for _, key := range []string{"", "/lib64", "/opt/a"} {
+		kind := shard
+		if key == "" {
+			kind = survey
+		}
+		if _, ok := r.Lookup(kind, india, key, 1); ok {
+			t.Fatalf("india %s %q survived invalidation", kind, key)
+		}
+	}
+	if _, ok := r.Lookup(shard, fir, "/opt/a", 3); !ok {
+		t.Fatal("invalidating india dropped fir's shard")
+	}
+	if _, ok := r.Lookup(bdc, nil, "hash/app", 0); !ok {
+		t.Fatal("invalidating india dropped a site-independent entry")
+	}
+	st = r.Stats()
+	if st.Sites != 1 || st.Entries[survey] != 1 || st.Entries[shard] != 2 || st.Entries[bdc] != 1 {
+		t.Fatalf("stats after invalidation = %+v", st)
 	}
 }
 
@@ -65,14 +102,14 @@ func TestGenerationInvalidation(t *testing.T) {
 	r := registry.New()
 	site := newSite(t, "ranger")
 	fp := site.FS().Generation()
-	r.StoreSurvey(site, fp, "survey@gen")
-	if _, ok := r.LookupSurvey(site, site.FS().Generation()); !ok {
+	r.Store(survey, site, "", fp, "survey@gen")
+	if _, ok := r.Lookup(survey, site, "", site.FS().Generation()); !ok {
 		t.Fatal("unchanged generation should hit")
 	}
 	if err := site.FS().WriteFile("/tmp/mutation", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.LookupSurvey(site, site.FS().Generation()); ok {
+	if _, ok := r.Lookup(survey, site, "", site.FS().Generation()); ok {
 		t.Fatal("generation bump must invalidate the cached survey")
 	}
 }
@@ -82,8 +119,8 @@ func TestGenerationInvalidation(t *testing.T) {
 func TestDistinctSiteObjectsNeverShare(t *testing.T) {
 	r := registry.New()
 	a, b := newSite(t, "twin"), newSite(t, "twin")
-	r.StoreSurvey(a, 7, "a-survey")
-	if _, ok := r.LookupSurvey(b, 7); ok {
+	r.Store(survey, a, "", 7, "a-survey")
+	if _, ok := r.Lookup(survey, b, "", 7); ok {
 		t.Fatal("entry for site object a served to site object b")
 	}
 }
@@ -97,23 +134,23 @@ func TestShardEviction(t *testing.T) {
 	sites := make([]*sitemodel.Site, 6)
 	for i := range sites {
 		sites[i] = newSite(t, fmt.Sprintf("site-%d", i))
-		r.StoreSurvey(sites[i], uint64(i), i)
+		r.Store(survey, sites[i], "", uint64(i), i)
 	}
 	st := r.Stats()
 	if st.Evictions != 2 {
 		t.Fatalf("evictions = %d, want 2", st.Evictions)
 	}
-	if st.Surveys != 4 {
-		t.Fatalf("cached surveys = %d, want 4 (capacity)", st.Surveys)
+	if st.Entries[survey] != 4 {
+		t.Fatalf("cached surveys = %d, want 4 (capacity)", st.Entries[survey])
 	}
 	if got := metrics.Counter("registry_evict").Load(); got != 2 {
 		t.Fatalf("registry_evict counter = %d, want 2", got)
 	}
 	// Oldest entries evicted first.
-	if _, ok := r.LookupSurvey(sites[0], 0); ok {
+	if _, ok := r.Lookup(survey, sites[0], "", 0); ok {
 		t.Fatal("LRU entry site-0 should have been evicted")
 	}
-	if _, ok := r.LookupSurvey(sites[5], 5); !ok {
+	if _, ok := r.Lookup(survey, sites[5], "", 5); !ok {
 		t.Fatal("most recent entry missing")
 	}
 }
@@ -123,16 +160,16 @@ func TestShardEviction(t *testing.T) {
 func TestLRUTouchOrder(t *testing.T) {
 	r := registry.New(registry.WithShards(1), registry.WithShardCapacity(2))
 	a, b, c := newSite(t, "a"), newSite(t, "b"), newSite(t, "c")
-	r.StoreSurvey(a, 1, "a")
-	r.StoreSurvey(b, 2, "b")
-	if _, ok := r.LookupSurvey(a, 1); !ok { // touch a: b becomes LRU
+	r.Store(survey, a, "", 1, "a")
+	r.Store(survey, b, "", 2, "b")
+	if _, ok := r.Lookup(survey, a, "", 1); !ok { // touch a: b becomes LRU
 		t.Fatal("expected hit on a")
 	}
-	r.StoreSurvey(c, 3, "c") // evicts b
-	if _, ok := r.LookupSurvey(b, 2); ok {
+	r.Store(survey, c, "", 3, "c") // evicts b
+	if _, ok := r.Lookup(survey, b, "", 2); ok {
 		t.Fatal("b should have been evicted as least recently used")
 	}
-	if _, ok := r.LookupSurvey(a, 1); !ok {
+	if _, ok := r.Lookup(survey, a, "", 1); !ok {
 		t.Fatal("touched entry a evicted out of order")
 	}
 }
@@ -140,14 +177,14 @@ func TestLRUTouchOrder(t *testing.T) {
 func TestDescriptionCache(t *testing.T) {
 	metrics := obs.NewRegistry()
 	r := registry.New(registry.WithMetrics(metrics))
-	r.StoreDescription("hash1", "app", "desc1")
-	if v, ok := r.LookupDescription("hash1", "app"); !ok || v != "desc1" {
+	r.Store(bdc, nil, "hash1/app", 0, "desc1")
+	if v, ok := r.Lookup(bdc, nil, "hash1/app", 0); !ok || v != "desc1" {
 		t.Fatal("stored description not returned")
 	}
-	if _, ok := r.LookupDescription("hash1", "other"); ok {
+	if _, ok := r.Lookup(bdc, nil, "hash1/other", 0); ok {
 		t.Fatal("name is part of the description key")
 	}
-	if _, ok := r.LookupDescription("hash2", "app"); ok {
+	if _, ok := r.Lookup(bdc, nil, "hash2/app", 0); ok {
 		t.Fatal("hash is part of the description key")
 	}
 	if hits := metrics.Counter("registry_hit").Load(); hits != 1 {
@@ -159,7 +196,7 @@ func TestDescriptionCache(t *testing.T) {
 }
 
 // TestSiteLockIdentity: one lock per name, created on demand, stable
-// across registration.
+// while the site's entries come and go.
 func TestSiteLockIdentity(t *testing.T) {
 	r := registry.New()
 	l1 := r.SiteLock("forge")
@@ -170,41 +207,32 @@ func TestSiteLockIdentity(t *testing.T) {
 	if r.SiteLock("other") == l1 {
 		t.Fatal("distinct names must get distinct locks")
 	}
-	site := newSite(t, "forge")
-	if err := r.Register(site); err != nil {
-		t.Fatal(err)
-	}
+	r.Store(survey, newSite(t, "forge"), "", 1, "env")
+	r.Invalidate("forge")
 	if r.SiteLock("forge") != l1 {
-		t.Fatal("registration must keep the pre-existing lock")
+		t.Fatal("caching and invalidating entries must keep the pre-existing lock")
 	}
 }
 
-// TestFaultHook: an injected fault turns lookups into misses, drops
-// stores, and surfaces on Register.
+// TestFaultHook: an injected fault turns lookups into misses and drops
+// stores.
 func TestFaultHook(t *testing.T) {
 	script := &fault.Script{}
 	r := registry.New(registry.WithFaultHook(fault.Hook(context.Background(), script)))
 	site := newSite(t, "flaky")
 
-	script.FailNext(fault.Permanent, "register")
-	if err := r.Register(site); err == nil {
-		t.Fatal("injected register fault not surfaced")
-	}
-	if err := r.Register(site); err != nil {
-		t.Fatal(err)
-	}
-	r.StoreSurvey(site, 9, "v")
+	r.Store(survey, site, "", 9, "v")
 	script.FailNext(fault.Transient, "lookup")
-	if _, ok := r.LookupSurvey(site, 9); ok {
+	if _, ok := r.Lookup(survey, site, "", 9); ok {
 		t.Fatal("injected lookup fault must read as a miss")
 	}
-	if _, ok := r.LookupSurvey(site, 9); !ok {
+	if _, ok := r.Lookup(survey, site, "", 9); !ok {
 		t.Fatal("entry must survive a faulted lookup")
 	}
 	script.FailNext(fault.Transient, "store")
 	other := newSite(t, "flaky2")
-	r.StoreSurvey(other, 1, "dropped")
-	if _, ok := r.LookupSurvey(other, 1); ok {
+	r.Store(survey, other, "", 1, "dropped")
+	if _, ok := r.Lookup(survey, other, "", 1); ok {
 		t.Fatal("faulted store must drop the entry")
 	}
 }
@@ -226,14 +254,16 @@ func TestConcurrentSharding(t *testing.T) {
 				site := sites[(seed+i)%len(sites)]
 				switch i % 5 {
 				case 0:
-					_ = r.Register(site)
+					r.Store(shard, site, "/lib64", uint64(i), i)
+					r.Lookup(shard, site, "/lib64", uint64(i))
 				case 1:
-					r.StoreSurvey(site, uint64(i), i)
+					r.Store(survey, site, "", uint64(i), i)
 				case 2:
-					r.LookupSurvey(site, uint64(i))
+					r.Lookup(survey, site, "", uint64(i))
 				case 3:
-					r.StoreDescription(fmt.Sprintf("h%d", i%10), site.Name, i)
-					r.LookupDescription(fmt.Sprintf("h%d", i%10), site.Name)
+					key := fmt.Sprintf("h%d/%s", i%10, site.Name)
+					r.Store(bdc, nil, key, 0, i)
+					r.Lookup(bdc, nil, key, 0)
 				case 4:
 					r.Invalidate(site.Name)
 					_ = r.SiteLock(site.Name)
@@ -246,7 +276,7 @@ func TestConcurrentSharding(t *testing.T) {
 	if st.Hits+st.Misses == 0 {
 		t.Fatal("no lookups recorded")
 	}
-	if st.Surveys > 4*8 {
-		t.Fatalf("cached surveys = %d exceed total capacity", st.Surveys)
+	if st.Entries[survey] > 4*8 {
+		t.Fatalf("cached surveys = %d exceed total capacity", st.Entries[survey])
 	}
 }

@@ -1,7 +1,11 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,6 +17,8 @@ import (
 )
 
 const scenarioDir = "../../testdata/scenarios"
+
+var update = flag.Bool("update", false, "rewrite the scenario result goldens")
 
 // corpusFiles lists the committed scenario files, failing the test if the
 // corpus ever shrinks below the floor the suite promises.
@@ -31,7 +37,10 @@ func corpusFiles(t *testing.T) []string {
 
 // TestScenarioCorpus replays every committed scenario file as a subtest —
 // the CI entry point for the whole corpus. A failing assertion prints the
-// scenario's own human-readable diff.
+// scenario's own human-readable diff. Each result must also match
+// golden/<name>.json byte for byte, in the form `feam-sim run -out`
+// writes, so any change to a verdict, span count or cache counter shows;
+// run with -update to rewrite the goldens.
 func TestScenarioCorpus(t *testing.T) {
 	for _, path := range corpusFiles(t) {
 		path := path
@@ -57,8 +66,54 @@ func TestScenarioCorpus(t *testing.T) {
 			if res.Passed != (res.Failed == 0) {
 				t.Errorf("Passed = %v with %d failed assertions", res.Passed, res.Failed)
 			}
+			checkResultGolden(t, res)
 		})
 	}
+}
+
+// checkResultGolden compares a scenario result with its committed golden,
+// encoded exactly as `feam-sim run -out` encodes it.
+func checkResultGolden(t *testing.T, res *Result) {
+	t.Helper()
+	got, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join(scenarioDir, "golden", res.Scenario+".json")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("result differs from %s (run with -update to accept):\n%s", path, firstDiff(want, got))
+	}
+}
+
+// firstDiff renders the first differing line of two goldens.
+func firstDiff(want, got []byte) string {
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g {
+			return fmt.Sprintf("line %d:\n  want %s\n  got  %s", i+1, w, g)
+		}
+	}
+	return "(no line differs)"
 }
 
 // TestScenarioCorpusCoverage pins the corpus's breadth: the failure modes
@@ -92,19 +147,25 @@ func TestScenarioCorpusCoverage(t *testing.T) {
 }
 
 // unfingerprintedRegistry simulates reverting the fingerprint-gated
-// survey-caching guard: every lookup and store ignores the fingerprint,
-// so a cached survey keeps being served after the site's environment
-// changed underneath it.
+// survey-caching guard: every survey lookup and store ignores the
+// fingerprint, so a cached survey keeps being served after the site's
+// environment changed underneath it. Other kinds keep their stamps.
 type unfingerprintedRegistry struct {
 	feam.SiteRegistry
 }
 
-func (r *unfingerprintedRegistry) LookupSurvey(site *sitemodel.Site, fingerprint uint64) (any, bool) {
-	return r.SiteRegistry.LookupSurvey(site, 0)
+func (r *unfingerprintedRegistry) Lookup(kind string, site *sitemodel.Site, key string, stamp uint64) (any, bool) {
+	if kind == feam.KindSurvey {
+		stamp = 0
+	}
+	return r.SiteRegistry.Lookup(kind, site, key, stamp)
 }
 
-func (r *unfingerprintedRegistry) StoreSurvey(site *sitemodel.Site, fingerprint uint64, value any) {
-	r.SiteRegistry.StoreSurvey(site, 0, value)
+func (r *unfingerprintedRegistry) Store(kind string, site *sitemodel.Site, key string, stamp uint64, value any) {
+	if kind == feam.KindSurvey {
+		stamp = 0
+	}
+	r.SiteRegistry.Store(kind, site, key, stamp, value)
 }
 
 // TestStaleSurveyScenarioCatchesRevertedGuard proves the corpus has

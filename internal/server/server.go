@@ -18,7 +18,6 @@ import (
 	"feam/internal/fault"
 	"feam/internal/feam"
 	"feam/internal/obs"
-	"feam/internal/registry"
 	"feam/internal/scenario"
 	"feam/internal/store"
 	"feam/internal/testbed"
@@ -90,7 +89,6 @@ func New(cfg Config) (*Server, error) {
 	engOpts := []feam.Option{
 		feam.WithTracer(tracer),
 		feam.WithMetrics(metricsReg),
-		feam.WithRegistry(registry.New(registry.WithMetrics(metricsReg))),
 		feam.WithStore(st),
 	}
 	if cfg.Workers > 0 {
@@ -181,28 +179,8 @@ func (s *Server) Commit(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	type siteRecord struct {
-		Name       string `json:"name"`
-		SystemType string `json:"system_type,omitempty"`
-		Arch       string `json:"arch,omitempty"`
-		OS         string `json:"os,omitempty"`
-		Glibc      string `json:"glibc,omitempty"`
-		Cores      int    `json:"cores,omitempty"`
-	}
 	for _, site := range s.tb.Sites {
-		rec := siteRecord{
-			Name:       site.Name,
-			SystemType: site.SystemType,
-			Arch:       site.Arch.CPUName,
-			OS:         site.OS.Distro + " " + site.OS.Version,
-			Glibc:      site.Glibc.String(),
-			Cores:      site.Cores,
-		}
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("server: encoding site record %s: %w", site.Name, err)
-		}
-		if err := s.st.Put(feam.KindSite, site.Name, payload); err != nil {
+		if err := feam.PutSiteRecord(s.st, site); err != nil {
 			return fmt.Errorf("server: persisting site record %s: %w", site.Name, err)
 		}
 	}
