@@ -38,10 +38,15 @@ race:
 	$(GO) test -race -timeout 40m ./...
 
 # Fault-tolerance suite: injection, retries, transactional staging, and
-# degraded ranking, under the race detector.
+# degraded ranking, under the race detector; then the feam-testbed fault
+# demo twice, whose two reports must be identical (one fault policy per
+# site keeps the ranking independent of worker scheduling).
 fault:
-	$(GO) test -race -run 'Fault|Staging|Probe|Retry|Poisoning|Concurrent' ./internal/fault/ ./internal/feam/
-	$(GO) run ./cmd/feam-testbed -faults -fault-rate 0.25 -fault-seed 7 >/dev/null
+	$(GO) test -race -run 'Fault|Staging|Probe|Retry|Poisoning|Concurrent' ./internal/fault/ ./internal/feam/ ./cmd/feam-testbed/
+	$(GO) build -o bin/feam-testbed ./cmd/feam-testbed
+	./bin/feam-testbed -faults -fault-rate 0.25 -fault-seed 7 >bin/fault-demo.1
+	./bin/feam-testbed -faults -fault-rate 0.25 -fault-seed 7 >bin/fault-demo.2
+	cmp bin/fault-demo.1 bin/fault-demo.2
 
 # Observability suite: tracer/histogram/registry unit tests plus the
 # engine-level tracing and no-lost-samples tests, under the race detector.
@@ -72,12 +77,15 @@ scenario:
 # Bounded fuzzing smoke run over the attacker-facing parsers: the ELF
 # reader, the soname/symbol-version parsers, the scenario YAML loader,
 # the ABI symbol-index builder, and the /v1/predict body decoder (checked
-# against encoding/json plus encoding/base64). The go tool accepts one
-# -fuzz pattern per invocation, hence the separate runs.
+# against encoding/json plus encoding/base64); plus the eight-lane .text
+# payload kernel and its memo, checked against the per-byte generator.
+# The go tool accepts one -fuzz pattern per invocation, hence the
+# separate runs.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseSoname -fuzztime $(FUZZTIME) ./internal/libver/
 	$(GO) test -run xxx -fuzz FuzzSymverRequirements -fuzztime $(FUZZTIME) ./internal/libver/
 	$(GO) test -run xxx -fuzz FuzzParseELF -fuzztime $(FUZZTIME) ./internal/elfimg/
+	$(GO) test -run xxx -fuzz FuzzTextFill -fuzztime $(FUZZTIME) ./internal/elfimg/
 	$(GO) test -run xxx -fuzz FuzzScenarioYAML -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run xxx -fuzz FuzzSymbolIndex -fuzztime $(FUZZTIME) ./internal/abicheck/
 	$(GO) test -run xxx -fuzz FuzzPredictBody -fuzztime $(FUZZTIME) ./internal/server/
@@ -108,12 +116,15 @@ bench-trajectory:
 # path, the cached ABI resolve path or the parsed-ELF memo hit path ever
 # allocates again. The upload gate fails it if decoding a /v1/predict
 # body carrying a 1 MiB binary allocates 16 KiB or more (the binary is
-# decoded in place in the body). The heap budget then fails it if the
-# 120-site isa-mix fleet stops sharing its library images (it must add
-# under 64 MB of live heap; one copy per site is about 0.9 GB).
+# decoded in place in the body). The image gate fails it if building a
+# library image with a 4 MiB .text payload allocates 1.25 times the image
+# or more (the payload is written straight into the image). The heap
+# budget then fails it if the 120-site isa-mix fleet stops sharing its
+# library images (it must add under 64 MB of live heap; one copy per site
+# is about 0.9 GB).
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 10x -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -out BENCH_smoke.json
-	$(GO) test -run 'TestViewParseAllocs' -count=1 -v ./internal/elfimg/
+	$(GO) test -run 'TestViewParseAllocs|TestBuildAllocatesImageOnce' -count=1 -v ./internal/elfimg/
 	$(GO) test -run 'TestABIResolveAllocs' -count=1 -v ./internal/abicheck/
 	$(GO) test -run 'TestReadELFHitAllocs' -count=1 -v ./internal/vfs/
 	$(GO) test -run 'TestDecodeBodyAllocs' -count=1 -v ./internal/server/

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,7 +75,7 @@ func main() {
 	case *matrix:
 		runMatrix(tb)
 	case *faults:
-		if err := runFaults(eng, tb, *faultRate, *faultTransient, *faultSeed); err != nil {
+		if err := runFaults(os.Stdout, eng, tb, *faultRate, *faultTransient, *faultSeed); err != nil {
 			fmt.Fprintln(os.Stderr, "feam-testbed:", err)
 			os.Exit(1)
 		}
@@ -157,7 +158,9 @@ func exportMetrics(eng *feam.Engine, path string) {
 // filesystem operations. Transient faults are retried with backoff;
 // permanent ones roll staging back atomically or degrade the site to an
 // assessment carrying its error — the survey itself always completes.
-func runFaults(eng *feam.Engine, tb *testbed.Testbed, rate, transientFrac float64, seed int64) error {
+// Each target site has a policy of its own, seeded by fault.SiteSeed, so
+// a seed gives one report however the ranking's workers interleave.
+func runFaults(w io.Writer, eng *feam.Engine, tb *testbed.Testbed, rate, transientFrac float64, seed int64) error {
 	ctx := context.Background()
 	const (
 		from     = "ranger"
@@ -198,23 +201,25 @@ func runFaults(eng *feam.Engine, tb *testbed.Testbed, rate, transientFrac float6
 		return err
 	}
 
-	inj := &fault.Policy{
-		Rate:              rate,
-		TransientFraction: transientFrac,
-		Seed:              seed,
-		Ops:               []string{"probe", "write", "setattr", "mkdir", "rename", "removeall"},
-	}
 	// Probe submissions pass through each site's simulated resource manager
 	// (script generation, %CMD% substitution, parse round-trip, queue wait)
-	// with the fault injector underneath, so a probe can fail either in the
-	// batch layer or in the execution itself.
-	runner := &scenario.BatchRunner{Inner: &fault.FaultyRunner{Inner: experiment.NewSimProbeRunner(sim), Inj: inj}, TB: tb}
+	// with the site's fault injector underneath, so a probe can fail either
+	// in the batch layer or in the execution itself.
+	faults := fault.SiteFaults{Inner: experiment.NewSimProbeRunner(sim), Policies: map[string]*fault.Policy{}}
+	runner := &scenario.BatchRunner{Inner: faults, TB: tb}
 	var targets []*sitemodel.Site
 	for _, s := range tb.Sites {
 		if s.Name == from {
 			continue
 		}
-		s.FS().SetOpHook(fault.Hook(ctx, inj))
+		p := &fault.Policy{
+			Rate:              rate,
+			TransientFraction: transientFrac,
+			Seed:              fault.SiteSeed(seed, s.Name),
+			Ops:               []string{"probe", "write", "setattr", "mkdir", "rename", "removeall"},
+		}
+		faults.Policies[s.Name] = p
+		s.FS().SetOpHook(fault.Hook(ctx, p))
 		defer s.FS().SetOpHook(nil)
 		targets = append(targets, s)
 	}
@@ -223,7 +228,7 @@ func runFaults(eng *feam.Engine, tb *testbed.Testbed, rate, transientFrac float6
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Ranking %d sites for %s under injected faults (rate %.0f%%, %.0f%% transient, seed %d)\n\n",
+	fmt.Fprintf(w, "Ranking %d sites for %s under injected faults (rate %.0f%%, %.0f%% transient, seed %d)\n\n",
 		len(targets), art.Name, 100*rate, 100*transientFrac, seed)
 	ranked := eng.RankSites(ctx, desc, art.Bytes, targets, feam.EvalOptions{
 		Bundle: bundle, Resolve: true, Runner: runner,
@@ -239,35 +244,39 @@ func runFaults(eng *feam.Engine, tb *testbed.Testbed, rate, transientFrac float6
 			case errors.Is(a.Err, feam.ErrProbeFailed):
 				kind = "evaluation aborted"
 			}
-			fmt.Printf("%d. %-12s %s: %v\n", i+1, a.Site, kind, a.Err)
+			fmt.Fprintf(w, "%d. %-12s %s: %v\n", i+1, a.Site, kind, a.Err)
 			if a.Prediction != nil {
 				for _, d := range feam.Determinants() {
 					res := a.Prediction.Determinants[d]
-					fmt.Printf("     %-30s %s\n", d, res.Outcome)
+					fmt.Fprintf(w, "     %-30s %s\n", d, res.Outcome)
 				}
 			}
 		case a.Prediction.Ready && len(a.Prediction.ResolvedLibs) == 0:
-			fmt.Printf("%d. %-12s READY as-is (stack %s)\n", i+1, a.Site, a.Prediction.StackKey())
+			fmt.Fprintf(w, "%d. %-12s READY as-is (stack %s)\n", i+1, a.Site, a.Prediction.StackKey())
 		case a.Prediction.Ready:
-			fmt.Printf("%d. %-12s READY with %d staged libraries (stack %s)\n",
+			fmt.Fprintf(w, "%d. %-12s READY with %d staged libraries (stack %s)\n",
 				i+1, a.Site, len(a.Prediction.ResolvedLibs), a.Prediction.StackKey())
 		default:
 			reason := "unknown"
 			if len(a.Prediction.Reasons) > 0 {
 				reason = a.Prediction.Reasons[0]
 			}
-			fmt.Printf("%d. %-12s not ready: %s\n", i+1, a.Site, reason)
+			fmt.Fprintf(w, "%d. %-12s not ready: %s\n", i+1, a.Site, reason)
 		}
 	}
-	fmt.Printf("\nfaults injected: %d\n", inj.Injected())
-	fmt.Printf("engine: %s\n", report.EngineActivity(eng.Metrics()))
-	fmt.Printf("batch accounting (probe jobs through each site's manager):\n")
+	var injected uint64
+	for _, p := range faults.Policies {
+		injected += p.Injected()
+	}
+	fmt.Fprintf(w, "\nfaults injected: %d\n", injected)
+	fmt.Fprintf(w, "engine: %s\n", report.EngineActivity(eng.Metrics()))
+	fmt.Fprintf(w, "batch accounting (probe jobs through each site's manager):\n")
 	for _, s := range append([]*sitemodel.Site{src}, targets...) {
 		c := tb.Clusters[s.Name]
 		if c == nil || c.Now() == 0 {
 			continue
 		}
-		fmt.Printf("  %-12s %-5s %6.2f CPU-hours, virtual clock %s\n",
+		fmt.Fprintf(w, "  %-12s %-5s %6.2f CPU-hours, virtual clock %s\n",
 			s.Name, c.Manager, c.CPUHoursUsed(), c.Now())
 	}
 	return nil

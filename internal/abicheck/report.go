@@ -44,12 +44,6 @@ type Report struct {
 // OK reports whether every import resolved.
 func (r *Report) OK() bool { return r.Missing+r.Mismatch+r.Conflicts == 0 }
 
-// MPIStandardSatisfied reports whether the binary imports MPI entry
-// points and all of them resolve — the ABI-standard compatibility class.
-func (r *Report) MPIStandardSatisfied() bool {
-	return r.MPIImports > 0 && r.MPIImports == r.MPIResolved
-}
-
 // Summary is the one-line verdict count for determinant details and logs.
 func (r *Report) Summary() string {
 	return fmt.Sprintf("%d symbols: %d resolved, %d missing, %d version-mismatch, %d class-conflict (%d libraries indexed)",

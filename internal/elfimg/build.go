@@ -6,7 +6,10 @@ import (
 )
 
 // Build renders the spec into a complete little-endian ELF image.
-func Build(spec Spec) ([]byte, error) {
+func Build(spec Spec) ([]byte, error) { return render(spec, nil) }
+
+// render is Build, taking the .text payload from texts (nil generates it).
+func render(spec Spec, texts *Texts) ([]byte, error) {
 	if spec.Class != Class32 && spec.Class != Class64 {
 		return nil, fmt.Errorf("elfimg: invalid class %d", spec.Class)
 	}
@@ -16,7 +19,7 @@ func Build(spec Spec) ([]byte, error) {
 	if spec.Soname != "" && spec.Type != TypeDyn {
 		return nil, fmt.Errorf("elfimg: soname only valid for shared objects")
 	}
-	b := &builder{spec: spec, le: binary.LittleEndian}
+	b := &builder{spec: spec, le: binary.LittleEndian, texts: texts}
 	return b.build()
 }
 
@@ -30,8 +33,9 @@ func MustBuild(spec Spec) []byte {
 }
 
 type builder struct {
-	spec Spec
-	le   binary.ByteOrder
+	spec  Spec
+	le    binary.ByteOrder
+	texts *Texts // where the .text payload comes from; nil generates it
 }
 
 // Geometry per class.
@@ -151,18 +155,6 @@ func (b *builder) build() ([]byte, error) {
 		commentData = append(commentData, 0)
 	}
 
-	// Synthetic text payload (deterministic from spec identity).
-	var textData []byte
-	if spec.TextSize > 0 {
-		textData = make([]byte, spec.TextSize)
-		seed := elfHash(spec.Soname + spec.Interp + fmt.Sprint(len(spec.Needed)))
-		x := uint64(seed)*2862933555777941757 + 3037000493
-		for i := range textData {
-			x = x*2862933555777941757 + 3037000493
-			textData[i] = byte(x >> 56)
-		}
-	}
-
 	// Dynamic symbol table and its parallel versym array.
 	hasSymbols := len(spec.Imports)+len(spec.Exports) > 0
 	var dynsymData, versymData []byte
@@ -243,14 +235,15 @@ func (b *builder) build() ([]byte, error) {
 			data: append([]byte(spec.Interp), 0), align: 1, addrValid: true,
 		})
 	}
+	// The synthetic text payload has no buffer of its own: it is written
+	// straight into the image once the layout is known.
 	var textIdx int
-	if len(textData) > 0 {
+	if spec.TextSize > 0 {
 		textIdx = addSection(&section{
 			name: ".text", shType: shtProgbits, flags: 2 | 4, /* ALLOC|EXECINSTR */
-			data: textData, align: 16, addrValid: true,
+			size: uint64(spec.TextSize), align: 16, addrValid: true,
 		})
 	}
-	_ = textIdx
 	dynstrIdx := addSection(&section{
 		name: ".dynstr", shType: shtStrtab, flags: 2,
 		data: dynstr.data, align: 1, addrValid: true,
@@ -343,7 +336,9 @@ func (b *builder) build() ([]byte, error) {
 		}
 		off = align(off, s.align)
 		s.offset = off
-		s.size = uint64(len(s.data))
+		if s.data != nil { // .text has only its preset size
+			s.size = uint64(len(s.data))
+		}
 		if s.addrValid {
 			s.addr = base + s.offset
 		}
@@ -411,6 +406,10 @@ func (b *builder) build() ([]byte, error) {
 			continue
 		}
 		copy(img[s.offset:], s.data)
+	}
+	if textIdx != 0 {
+		text := img[sections[textIdx].offset:][:spec.TextSize:spec.TextSize]
+		b.texts.fill(text, textSeed(spec))
 	}
 	// Section header table.
 	for i, s := range sections {

@@ -234,12 +234,8 @@ func TestVersionHelpers(t *testing.T) {
 	if len(refs) != 3 {
 		t.Errorf("VersionRefNames = %v", refs)
 	}
-	libc := f.VersionRefsFor("libc.so.6")
-	if len(libc) != 2 || libc[1] != "GLIBC_2.3.4" {
-		t.Errorf("VersionRefsFor(libc) = %v", libc)
-	}
-	if f.VersionRefsFor("libmpi.so.0") != nil {
-		t.Error("unexpected version refs for libmpi")
+	if libc := f.VerNeeds[0]; libc.File != "libc.so.6" || len(libc.Versions) != 2 || libc.Versions[1] != "GLIBC_2.3.4" {
+		t.Errorf("VerNeeds[0] = %v", libc)
 	}
 }
 

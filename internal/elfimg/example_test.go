@@ -23,7 +23,7 @@ func Example() {
 	fmt.Println(f.Format())
 	fmt.Println(f.Soname)
 	fmt.Println(f.Needed)
-	fmt.Println(f.VersionRefsFor("libc.so.6"))
+	fmt.Println(f.VersionRefNames())
 	// Output:
 	// elf64-x86-64
 	// libmpich.so.1.2

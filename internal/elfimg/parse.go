@@ -56,16 +56,6 @@ func (f *File) VersionRefNames() []string {
 	return out
 }
 
-// VersionRefsFor returns the version names referenced against a dependency.
-func (f *File) VersionRefsFor(depName string) []string {
-	for _, vn := range f.VerNeeds {
-		if vn.File == depName {
-			return vn.Versions
-		}
-	}
-	return nil
-}
-
 // ErrNotELF is returned for images without the ELF magic.
 var ErrNotELF = fmt.Errorf("elfimg: not an ELF file")
 

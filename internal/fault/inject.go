@@ -44,6 +44,16 @@ type Policy struct {
 // Injected returns how many faults the policy has delivered.
 func (p *Policy) Injected() uint64 { return p.injected.Load() }
 
+// SiteSeed derives a site's policy seed from a run's seed. A policy draws
+// every decision from one sequence, so sites assessed concurrently need
+// one policy each, seeded by SiteSeed, for the faults each site sees to
+// be independent of how operations at other sites interleave with its own.
+func SiteSeed(seed int64, site string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(site))
+	return seed ^ int64(h.Sum64())
+}
+
 // Fail implements Injector.
 func (p *Policy) Fail(ctx context.Context, op, path string) error {
 	if p == nil || p.Rate <= 0 {

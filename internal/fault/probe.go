@@ -94,6 +94,24 @@ func (f *FaultyRunner) BeginProbeBatch(ctx context.Context, site *sitemodel.Site
 	}
 }
 
+// SiteFaults routes each probe through its site's fault policy: a site
+// with a policy in Policies gets a FaultyRunner over Inner, any other site
+// Inner's session itself. Policies may change between rankings, not
+// during one.
+type SiteFaults struct {
+	Inner    Runner
+	Policies map[string]*Policy
+}
+
+// BeginProbeBatch implements Runner.
+func (f SiteFaults) BeginProbeBatch(ctx context.Context, site *sitemodel.Site, stackKey string) ProbeBatch {
+	if p := f.Policies[site.Name]; p != nil {
+		r := &FaultyRunner{Inner: f.Inner, Inj: p}
+		return r.BeginProbeBatch(ctx, site, stackKey)
+	}
+	return f.Inner.BeginProbeBatch(ctx, site, stackKey)
+}
+
 // faultyBatch interposes the injector in front of an open probe session.
 type faultyBatch struct {
 	inner ProbeBatch

@@ -10,7 +10,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"sync"
@@ -351,7 +350,9 @@ func (r *runner) prepareBinary(ctx context.Context) error {
 	sim := execsim.NewSimulator(r.sc.Seed)
 	sim.TransientRate = 0 // scripted faults are the only flakiness
 	batched := &BatchRunner{Inner: experiment.NewSimProbeRunner(sim), TB: r.tb}
-	r.probe = &routedRunner{r: r, inner: batched}
+	// Site filesystems get their fault policies through vfs op hooks;
+	// probes get theirs here.
+	r.probe = fault.SiteFaults{Inner: batched, Policies: r.faults}
 
 	needBundle := false
 	for _, ev := range r.sc.Events {
@@ -386,25 +387,6 @@ func (r *runner) prepareBinary(ctx context.Context) error {
 	}
 	r.desc, r.appBytes = desc, art.Bytes
 	return nil
-}
-
-// routedRunner applies the per-site fault policies to probe executions;
-// site filesystems get theirs through vfs op hooks, probes get theirs
-// here.
-type routedRunner struct {
-	r     *runner
-	inner fault.Runner
-}
-
-// BeginProbeBatch implements fault.Runner, threading the per-site fault
-// policy into the opened session (the injector fires per probe even though
-// the session setup is shared).
-func (rr *routedRunner) BeginProbeBatch(ctx context.Context, site *sitemodel.Site, stackKey string) fault.ProbeBatch {
-	if p := rr.r.faults[site.Name]; p != nil {
-		f := &fault.FaultyRunner{Inner: rr.inner, Inj: p}
-		return f.BeginProbeBatch(ctx, site, stackKey)
-	}
-	return rr.inner.BeginProbeBatch(ctx, site, stackKey)
 }
 
 // resolveTargets maps event target names to current fleet sites: exact
@@ -450,15 +432,6 @@ func (r *runner) inFleet(name string) bool {
 		}
 	}
 	return false
-}
-
-// siteSeed derives a per-site fault seed, so injection at one site is
-// independent of operation interleaving at others (parallel surveys stay
-// deterministic).
-func siteSeed(base int64, site string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(site))
-	return base ^ int64(h.Sum64())
 }
 
 // execute applies one timeline event.
@@ -526,7 +499,7 @@ func (r *runner) execute(ctx context.Context, ev Event) error {
 			p := &fault.Policy{
 				Rate:              ev.Rate,
 				TransientFraction: ev.Transient,
-				Seed:              siteSeed(r.sc.Seed, s.Name),
+				Seed:              fault.SiteSeed(r.sc.Seed, s.Name),
 				Ops:               ev.Ops,
 			}
 			r.faults[s.Name] = p

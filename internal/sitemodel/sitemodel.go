@@ -405,40 +405,57 @@ func (s *Site) InstallLibrary(dir string, lib Library) (string, error) {
 // ImageStore holds one fleet's built library images: one immutable blob
 // per distinct elfimg.Spec, written into every site that installs that
 // spec. Sites running the same C-library release or the same MPI build
-// then hold one copy of each image and share its parsed-ELF memo. A store
-// lives as long as its sites, so a later UpgradeCLibrary on any of them
-// reuses the images, and goes with them. The zero value is ready to use
-// and safe for concurrent use.
+// then hold one copy of each image and share its parsed-ELF memo. Images
+// are built through one elfimg.Texts memo, so images whose specs share a
+// text seed generate their payload once. A store lives as long as its
+// sites, so a later UpgradeCLibrary on any of them reuses the images, and
+// goes with them. The zero value is ready to use and safe for concurrent
+// use: sites of one fleet may install at once, and each image is built
+// once, outside the store's lock, by whichever of them asks first.
 type ImageStore struct {
-	mu sync.Mutex
-	m  map[string]*vfs.Blob
+	mu    sync.Mutex
+	m     map[string]*storedImage
+	texts elfimg.Texts
+}
+
+// storedImage is one entry of an ImageStore, built by the first request.
+type storedImage struct {
+	once sync.Once
+	blob *vfs.Blob
+	err  error
 }
 
 // image returns the blob of spec's image, building it on the first
-// request. The key is imageKey(spec), so specs that differ in any field
-// Build reads never share. A nil store builds afresh.
+// request; concurrent requests for the same spec wait for that build. The
+// key is imageKey(spec), so specs that differ in any field Build reads
+// never share. A nil store builds afresh.
 func (st *ImageStore) image(spec elfimg.Spec) (*vfs.Blob, error) {
-	var key string
-	if st != nil {
-		key = imageKey(spec)
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if b, ok := st.m[key]; ok {
-			return b, nil
-		}
+	if st == nil {
+		return newImage(nil, spec)
 	}
-	img, err := elfimg.Build(spec)
+	key := imageKey(spec)
+	st.mu.Lock()
+	e, ok := st.m[key]
+	if !ok {
+		if st.m == nil {
+			st.m = map[string]*storedImage{}
+		}
+		e = &storedImage{}
+		st.m[key] = e
+	}
+	st.mu.Unlock()
+	e.once.Do(func() { e.blob, e.err = newImage(&st.texts, spec) })
+	return e.blob, e.err
+}
+
+// newImage builds spec's image through texts (nil builds without a memo)
+// and hands it to a blob.
+func newImage(texts *elfimg.Texts, spec elfimg.Spec) (*vfs.Blob, error) {
+	img, err := texts.Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	b := vfs.NewBlob(img)
-	if st != nil {
-		if st.m == nil {
-			st.m = map[string]*vfs.Blob{}
-		}
-		st.m[key] = b
-	}
-	return b, nil
+	return vfs.NewBlob(img), nil
 }
 
 // imageKey is the canonical form of a spec: every field in declaration

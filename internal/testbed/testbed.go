@@ -9,6 +9,9 @@ package testbed
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"feam/internal/batch"
 	"feam/internal/elfimg"
@@ -187,21 +190,42 @@ func Build() (*Testbed, error) { return BuildFrom(DefaultSpecs()) }
 
 // BuildFrom materializes sites from explicit specs. The sites share one
 // store of library images, so a library image that several sites install
-// is built and held once for the whole fleet.
+// is built and held once for the whole fleet. Sites are built on up to
+// GOMAXPROCS workers, each site by one of them, and assembled in spec
+// order; when several fail, the error of the first in spec order is
+// returned.
 func BuildFrom(specs []SiteSpec) (*Testbed, error) {
+	images := &sitemodel.ImageStore{}
+	sites := make([]*sitemodel.Site, len(specs))
+	errs := make([]error, len(specs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(specs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
+					return
+				}
+				sites[i], errs[i] = buildSite(specs[i], images)
+			}
+		}()
+	}
+	wg.Wait()
+
 	tb := &Testbed{
 		ByName:   map[string]*sitemodel.Site{},
 		Specs:    map[string]SiteSpec{},
 		Clusters: map[string]*batch.Cluster{},
 	}
-	images := &sitemodel.ImageStore{}
-	for _, spec := range specs {
-		site, err := buildSite(spec, images)
-		if err != nil {
-			return nil, fmt.Errorf("testbed: %s: %v", spec.Name, err)
+	for i, spec := range specs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("testbed: %s: %v", spec.Name, errs[i])
 		}
-		tb.Sites = append(tb.Sites, site)
-		tb.ByName[spec.Name] = site
+		tb.Sites = append(tb.Sites, sites[i])
+		tb.ByName[spec.Name] = sites[i]
 		tb.Specs[spec.Name] = spec
 		tb.Clusters[spec.Name] = batch.NewCluster(spec.Manager)
 	}
