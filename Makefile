@@ -78,9 +78,11 @@ scenario:
 # reader, the soname/symbol-version parsers, the scenario YAML loader,
 # the ABI symbol-index builder, and the /v1/predict body decoder (checked
 # against encoding/json plus encoding/base64); plus the eight-lane .text
-# payload kernel and its memo, checked against the per-byte generator.
-# The go tool accepts one -fuzz pattern per invocation, hence the
-# separate runs.
+# payload kernel and its memo, checked against the per-byte generator;
+# the loader's directory handle, checked against the path walk; and the
+# compiler-banner version parser, checked against its per-character
+# predecessor. The go tool accepts one -fuzz pattern per invocation,
+# hence the separate runs.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseSoname -fuzztime $(FUZZTIME) ./internal/libver/
 	$(GO) test -run xxx -fuzz FuzzSymverRequirements -fuzztime $(FUZZTIME) ./internal/libver/
@@ -89,6 +91,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzScenarioYAML -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run xxx -fuzz FuzzSymbolIndex -fuzztime $(FUZZTIME) ./internal/abicheck/
 	$(GO) test -run xxx -fuzz FuzzPredictBody -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run xxx -fuzz FuzzDirLookup -fuzztime $(FUZZTIME) ./internal/vfs/
+	$(GO) test -run xxx -fuzz FuzzBannerVersion -fuzztime $(FUZZTIME) ./internal/toolchain/
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
@@ -114,7 +118,9 @@ bench-trajectory:
 # and the JSON renderer still work without paying for stable numbers,
 # and the AllocsPerRun gates fail the job if the zero-copy View accessor
 # path, the cached ABI resolve path or the parsed-ELF memo hit path ever
-# allocates again. The upload gate fails it if decoding a /v1/predict
+# allocates again, or if a loader search directory that misses costs an
+# allocation (TestResolveMissAllocs: a warm closure allocates as much with
+# 12 missed directories ahead of each hit as with 2). The upload gate fails it if decoding a /v1/predict
 # body carrying a 1 MiB binary allocates 16 KiB or more (the binary is
 # decoded in place in the body). The image gate fails it if building a
 # library image with a 4 MiB .text payload allocates 1.25 times the image
@@ -127,5 +133,6 @@ bench-smoke:
 	$(GO) test -run 'TestViewParseAllocs|TestBuildAllocatesImageOnce' -count=1 -v ./internal/elfimg/
 	$(GO) test -run 'TestABIResolveAllocs' -count=1 -v ./internal/abicheck/
 	$(GO) test -run 'TestReadELFHitAllocs' -count=1 -v ./internal/vfs/
+	$(GO) test -run 'TestResolveMissAllocs' -count=1 -v ./internal/ldso/
 	$(GO) test -run 'TestDecodeBodyAllocs' -count=1 -v ./internal/server/
 	$(GO) test -run 'TestFleetHeapBudget' -count=1 -v ./internal/scenario/

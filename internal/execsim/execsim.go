@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"feam/internal/envmgmt"
 	"feam/internal/ldso"
 	"feam/internal/libver"
 	"feam/internal/sitemodel"
@@ -195,7 +196,7 @@ func (s *Simulator) runOnce(req Request, attempt int) (res Result) {
 	// 2. Dynamic loading.
 	resolution, err := ldso.Resolve(f, art.Name, ldso.Options{
 		FS:              site.FS(),
-		LibraryPath:     splitPath(site.Getenv("LD_LIBRARY_PATH")),
+		LibraryPath:     envmgmt.SplitPathVar(site.Getenv("LD_LIBRARY_PATH")),
 		DefaultDirs:     site.DefaultLibDirs(),
 		ExtraSearchDirs: req.ExtraLibDirs,
 	})
@@ -313,19 +314,6 @@ func mpiObject(res *ldso.Resolution) *ldso.Object {
 		}
 	}
 	return nil
-}
-
-func splitPath(v string) []string {
-	if v == "" {
-		return nil
-	}
-	var out []string
-	for _, d := range strings.Split(v, ":") {
-		if d != "" {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // runTimeFor estimates the simulated execution duration.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path"
 	"sort"
+	"strconv"
 	"strings"
 
 	"feam/internal/elfimg"
@@ -74,11 +75,11 @@ func (ISAEvaluator) Determinant() Determinant { return DetISA }
 func (ISAEvaluator) Evaluate(ec *EvalContext) error {
 	desc, env := ec.Desc, ec.Env
 	if desc.ISA != env.ISA || desc.Bits != env.Bits {
-		ec.Pred.fail(DetISA, fmt.Sprintf("binary is %s but site is %s (%d-bit)",
-			desc.Format, env.UnameProcessor, env.Bits))
+		ec.Pred.fail(DetISA, "binary is "+desc.Format+" but site is "+env.UnameProcessor+
+			" ("+strconv.Itoa(env.Bits)+"-bit)")
 		return nil
 	}
-	ec.Pred.pass(DetISA, fmt.Sprintf("%s matches site processor %s", desc.Format, env.UnameProcessor))
+	ec.Pred.pass(DetISA, desc.Format+" matches site processor "+env.UnameProcessor)
 	return nil
 }
 
@@ -96,9 +97,9 @@ func (CLibraryEvaluator) Evaluate(ec *EvalContext) error {
 	case env.Glibc.IsZero():
 		pred.pass(DetCLibrary, "site C library version undetermined; assuming compatible")
 	case env.Glibc.AtLeast(desc.RequiredGlibc):
-		pred.pass(DetCLibrary, fmt.Sprintf("site glibc %s >= required %s", env.Glibc, desc.RequiredGlibc))
+		pred.pass(DetCLibrary, "site glibc "+env.Glibc.String()+" >= required "+desc.RequiredGlibc.String())
 	default:
-		pred.fail(DetCLibrary, fmt.Sprintf("site glibc %s < required %s", env.Glibc, desc.RequiredGlibc))
+		pred.fail(DetCLibrary, "site glibc "+env.Glibc.String()+" < required "+desc.RequiredGlibc.String())
 	}
 	return nil
 }

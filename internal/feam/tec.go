@@ -106,7 +106,7 @@ func (p *Prediction) StackKey() string {
 
 func (p *Prediction) fail(d Determinant, reason string) {
 	p.Determinants[d] = DeterminantResult{Outcome: Fail, Detail: reason}
-	p.Reasons = append(p.Reasons, fmt.Sprintf("%s: %s", d, reason))
+	p.Reasons = append(p.Reasons, d.String()+": "+reason)
 	p.Ready = false
 }
 

@@ -12,10 +12,8 @@ package ldso
 
 import (
 	"fmt"
-	"path"
 	"slices"
 	"sort"
-	"strings"
 
 	"feam/internal/elfimg"
 	"feam/internal/vfs"
@@ -191,14 +189,8 @@ func resolve(root *Object, opts Options) (*Resolution, error) {
 		maxObjects = 512
 	}
 	res := &Resolution{Root: root, Objects: map[string]*Object{}}
-
-	type request struct {
-		name string
-		by   *Object
-	}
-	var queue []request
-	seen := map[string]bool{}
-	missingSeen := map[string]bool{}
+	var qbuf [64]request
+	queue := qbuf[:0]
 
 	// LD_PRELOAD objects load first; their own dependencies join the
 	// closure like anything else.
@@ -212,10 +204,9 @@ func resolve(root *Object, opts Options) (*Resolution, error) {
 		if name == "" {
 			name = p
 		}
-		if seen[name] {
+		if _, loaded := res.Objects[name]; loaded {
 			continue
 		}
-		seen[name] = true
 		obj := &Object{Name: name, Path: p, RealPath: p, File: f, RequestedBy: "LD_PRELOAD"}
 		res.Objects[name] = obj
 		res.Order = append(res.Order, name)
@@ -228,31 +219,30 @@ func resolve(root *Object, opts Options) (*Resolution, error) {
 		queue = append(queue, request{n, root})
 	}
 
-	for len(queue) > 0 {
-		req := queue[0]
-		queue = queue[1:]
-		if seen[req.name] {
+	c := closure{res: res, root: root, fs: opts.FS, missingFrom: len(res.Missing)}
+	c.rpathAt = c.addFixed(opts.ExtraSearchDirs)
+	c.runpathAt = c.addFixed(opts.LibraryPath)
+	c.nfixed = c.addFixed(opts.DefaultDirs)
+	for i := 0; i < len(queue); i++ {
+		req := queue[i]
+		if c.done(req.name) {
 			continue
 		}
-		seen[req.name] = true
 		if len(res.Objects) >= maxObjects {
 			return nil, fmt.Errorf("ldso: dependency closure exceeds %d objects", maxObjects)
 		}
-		obj, wrongClass := locate(req.name, req.by, root, opts)
+		obj, wrongClass := c.locate(req.name, req.by)
 		if obj == nil {
-			if !missingSeen[req.name] {
-				missingSeen[req.name] = true
-				res.Missing = append(res.Missing, Missing{
-					Name: req.name, RequestedBy: req.by.Name, WrongClass: wrongClass,
-				})
-			}
+			res.Missing = append(res.Missing, Missing{
+				Name: req.name, RequestedBy: req.by.Name, WrongClass: wrongClass,
+			})
 			continue
 		}
 		obj.RequestedBy = req.by.Name
 		res.Objects[req.name] = obj
 		res.Order = append(res.Order, req.name)
 		for _, n := range obj.File.Needed {
-			if !seen[n] {
+			if !c.done(n) {
 				queue = append(queue, request{n, obj})
 			}
 		}
@@ -263,6 +253,105 @@ func resolve(root *Object, opts Options) (*Resolution, error) {
 		checkSymbols(res)
 	}
 	return res, nil
+}
+
+// request is one DT_NEEDED entry waiting in the breadth-first queue.
+type request struct {
+	name string
+	by   *Object
+}
+
+// closure is the state of one resolution: its result so far and the
+// loader's search directories, each distinct one opened once. It lives on
+// resolve's stack, so its directories sit in a fixed array; a closure
+// with more of them than that keeps the rest in a slice.
+type closure struct {
+	res  *Resolution
+	root *Object
+	fs   *vfs.FS
+	// missingFrom is where the closure's own entries in res.Missing
+	// start, after those of LD_PRELOAD.
+	missingFrom int
+
+	// The opened directories are dirs[:ndirs], continued in more. The
+	// first nfixed are, entry for entry, the search order every lookup
+	// shares: ExtraSearchDirs, then LibraryPath from rpathAt, then
+	// DefaultDirs from runpathAt; a repeated entry holds a copy of its
+	// first handle. A requester's RPATH entries are searched at rpathAt
+	// and its RUNPATH at runpathAt.
+	dirs                              [24]searchDir
+	more                              []searchDir
+	ndirs, nfixed, rpathAt, runpathAt int
+}
+
+// searchDir is an opened search directory and the string that named it.
+type searchDir struct {
+	path string
+	dir  vfs.Dir
+}
+
+// addFixed appends dirs to the search order every lookup shares and
+// returns its new length.
+func (c *closure) addFixed(dirs []string) int {
+	for _, dir := range dirs {
+		if j := c.find(dir); j >= 0 {
+			c.add(*c.dir(j))
+		} else {
+			c.add(searchDir{dir, c.fs.OpenDir(dir)})
+		}
+	}
+	return c.ndirs
+}
+
+// open returns the slot of the directory named dir, opening it on first
+// use.
+func (c *closure) open(dir string) int {
+	if j := c.find(dir); j >= 0 {
+		return j
+	}
+	return c.add(searchDir{dir, c.fs.OpenDir(dir)})
+}
+
+// find returns the slot of the directory named dir, or -1.
+func (c *closure) find(dir string) int {
+	for j := 0; j < c.ndirs; j++ {
+		if c.dir(j).path == dir {
+			return j
+		}
+	}
+	return -1
+}
+
+// add stores d in the next slot and returns it.
+func (c *closure) add(d searchDir) int {
+	if c.ndirs < len(c.dirs) {
+		c.dirs[c.ndirs] = d
+	} else {
+		c.more = append(c.more, d)
+	}
+	c.ndirs++
+	return c.ndirs - 1
+}
+
+// dir returns slot j.
+func (c *closure) dir(j int) *searchDir {
+	if j < len(c.dirs) {
+		return &c.dirs[j]
+	}
+	return &c.more[j-len(c.dirs)]
+}
+
+// done reports whether name has been loaded or found missing already.
+func (c *closure) done(name string) bool {
+	if _, loaded := c.res.Objects[name]; loaded {
+		return true
+	}
+	for _, m := range c.res.Missing[c.missingFrom:] {
+		if m.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // checkSymbols performs eager symbol binding over the closure: every import
@@ -314,58 +403,51 @@ func checkSymbols(res *Resolution) {
 // locate searches for a NEEDED name using the loader's directory order and
 // class filtering. It returns nil when nothing usable is found; wrongClass
 // reports whether a candidate with the wrong ELF class was encountered.
-func locate(name string, requester, root *Object, opts Options) (obj *Object, wrongClass bool) {
+// Only the library it returns gets its paths built.
+func (c *closure) locate(name string, requester *Object) (obj *Object, wrongClass bool) {
 	// Search lists are a handful of directories; the buffer keeps this
 	// per-dependency list off the heap.
-	var buf [16]string
-	dirs := append(buf[:0], opts.ExtraSearchDirs...)
+	var buf [32]int
+	search := buf[:0]
+	for j := 0; j < c.rpathAt; j++ {
+		search = append(search, j)
+	}
 	// DT_RPATH of the requesting object, then of the root (the historical
 	// inheritance rule FEAM-era systems used). A DT_RUNPATH on the
 	// requester disables its RPATH and is searched after LD_LIBRARY_PATH,
 	// without inheritance — the modern semantics.
+	root := c.root.File
 	if requester.File.RunPath == "" {
 		if rp := requester.File.RPath; rp != "" {
-			dirs = append(dirs, rp)
+			search = append(search, c.open(rp))
 		}
-		if rp := root.File.RPath; rp != "" && requester != root && root.File.RunPath == "" {
-			dirs = append(dirs, rp)
+		if rp := root.RPath; rp != "" && requester != c.root && root.RunPath == "" {
+			search = append(search, c.open(rp))
 		}
 	}
-	dirs = append(dirs, opts.LibraryPath...)
+	for j := c.rpathAt; j < c.runpathAt; j++ {
+		search = append(search, j)
+	}
 	if rp := requester.File.RunPath; rp != "" {
-		dirs = append(dirs, rp)
+		search = append(search, c.open(rp))
 	}
-	dirs = append(dirs, opts.DefaultDirs...)
+	for j := c.runpathAt; j < c.nfixed; j++ {
+		search = append(search, j)
+	}
 
-	for _, dir := range dirs {
-		p := joinDir(dir, name)
-		f, err := opts.FS.ReadELF(p)
+	for _, j := range search {
+		d := &c.dir(j).dir
+		f, realPath, err := d.ReadELF(name)
 		if err != nil {
 			continue // absent, or not an ELF (linker script, text stub): keep searching
 		}
-		if f.Class != root.File.Class || f.Machine != root.File.Machine {
+		if f.Class != root.Class || f.Machine != root.Machine {
 			wrongClass = true
 			continue
 		}
-		rp, err := opts.FS.ResolvePath(p)
-		if err != nil {
-			rp = p
-		}
-		return &Object{Name: name, Path: p, RealPath: rp, File: f}, false
+		return &Object{Name: name, Path: d.Join(name), RealPath: realPath, File: f}, false
 	}
 	return nil, wrongClass
-}
-
-// joinDir is path.Join(dir, name), with one concatenation instead of a
-// join and a Clean pass when dir is a plain absolute directory and name a
-// plain file name, as loader search paths and NEEDED entries are.
-func joinDir(dir, name string) string {
-	if len(dir) > 1 && dir[0] == '/' && dir[len(dir)-1] != '/' &&
-		!strings.Contains(dir, "//") && !strings.Contains(dir, "/.") &&
-		name != "" && name != "." && name != ".." && !strings.Contains(name, "/") {
-		return dir + "/" + name
-	}
-	return path.Join(dir, name)
 }
 
 // checkVersions verifies every symbol-version reference in the closure

@@ -2,6 +2,7 @@ package libver
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -55,24 +56,38 @@ func HighestGlibc(names []string) Version {
 	return best
 }
 
-// GlibcSymbolVersions returns the canonical ladder of GLIBC_* version
-// definitions a C library of the given release provides, oldest first. Real
-// glibc builds define every historical version tag up to their own release;
-// the simulated C libraries installed at sites do the same so that version
-// references resolve exactly as on a real system.
-func GlibcSymbolVersions(release Version) []string {
-	ladder := []Version{
+// glibcLadder is every GLIBC_* version tag a C library defines, oldest
+// first, and glibcLadderNames their names, formatted once.
+var (
+	glibcLadder = []Version{
 		{2, 0}, {2, 1}, {2, 1, 1}, {2, 1, 2}, {2, 1, 3},
 		{2, 2}, {2, 2, 1}, {2, 2, 2}, {2, 2, 3}, {2, 2, 4}, {2, 2, 5}, {2, 2, 6},
 		{2, 3}, {2, 3, 2}, {2, 3, 3}, {2, 3, 4},
 		{2, 4}, {2, 5}, {2, 6}, {2, 7}, {2, 8}, {2, 9},
 		{2, 10}, {2, 11}, {2, 12}, {2, 13}, {2, 14}, {2, 15}, {2, 16}, {2, 17},
 	}
-	var out []string
-	for _, v := range ladder {
-		if v.Compare(release) <= 0 {
-			out = append(out, SymbolVersion{Namespace: "GLIBC", Version: v}.String())
+	glibcLadderNames = func() []string {
+		names := make([]string, len(glibcLadder))
+		for i, v := range glibcLadder {
+			names[i] = SymbolVersion{Namespace: "GLIBC", Version: v}.String()
 		}
+		return names
+	}()
+)
+
+// GlibcSymbolVersions returns the canonical ladder of GLIBC_* version
+// definitions a C library of the given release provides, oldest first. Real
+// glibc builds define every historical version tag up to their own release;
+// the simulated C libraries installed at sites do the same so that version
+// references resolve exactly as on a real system. Every call returns a
+// fresh slice, which the caller may keep and modify.
+func GlibcSymbolVersions(release Version) []string {
+	n := 0
+	for n < len(glibcLadder) && glibcLadder[n].Compare(release) <= 0 {
+		n++
 	}
-	return out
+	if n == 0 {
+		return nil
+	}
+	return slices.Clone(glibcLadderNames[:n])
 }

@@ -1,6 +1,9 @@
 package libver
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestParseSymbolVersion(t *testing.T) {
 	sv, err := ParseSymbolVersion("GLIBC_2.12")
@@ -87,6 +90,32 @@ func TestGlibcLadderConsistentWithHighestGlibc(t *testing.T) {
 		}
 		if got.IsZero() {
 			t.Errorf("HighestGlibc(%v defs) is zero", rel)
+		}
+	}
+}
+
+// TestGlibcSymbolVersionsFreshCopy: the ladder is formatted once, but each
+// call still returns its own slice, because callers slice the result and
+// keep it in library specs.
+func TestGlibcSymbolVersionsFreshCopy(t *testing.T) {
+	for _, rel := range []Version{nil, V(1, 9), V(2, 0), V(2, 1, 2), V(2, 3, 4), V(2, 5), V(2, 11, 1), V(2, 17), V(3, 0)} {
+		var want []string
+		for _, v := range glibcLadder {
+			if v.Compare(rel) <= 0 {
+				want = append(want, "GLIBC_"+v.String())
+			}
+		}
+		got := GlibcSymbolVersions(rel)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("GlibcSymbolVersions(%v) = %v, want %v", rel, got, want)
+		}
+		if len(got) == 0 {
+			continue
+		}
+		got[0] = "edited"
+		_ = append(got[:1], "appended")
+		if again := GlibcSymbolVersions(rel); !reflect.DeepEqual(again, want) {
+			t.Errorf("after editing one result, GlibcSymbolVersions(%v) = %v", rel, again)
 		}
 	}
 }

@@ -270,7 +270,7 @@ func (s *Site) DefaultLibDirs() []string {
 		dirs = append(dirs, "/lib64", "/usr/lib64")
 	}
 	dirs = append(dirs, "/lib", "/usr/lib")
-	if data, err := s.fs.ReadFile("/etc/ld.so.conf"); err == nil {
+	if data, err := s.fs.ReadFileShared("/etc/ld.so.conf"); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {
 			line = strings.TrimSpace(line)
 			if line != "" && !strings.HasPrefix(line, "#") {

@@ -2,6 +2,7 @@ package toolchain
 
 import (
 	"fmt"
+	"strings"
 
 	"feam/internal/elfimg"
 	"feam/internal/libver"
@@ -228,7 +229,13 @@ func globDrivers(site *sitemodel.Site, root, driver string) []string {
 // such as "gcc (GCC) 4.1.2" or "icc (ICC) 12 20100414". Release components
 // are small numbers, which distinguishes them from date stamps.
 func parseBannerVersion(banner string) (string, bool) {
-	for _, f := range splitFields(banner) {
+	for _, f := range strings.FieldsFunc(banner, isBannerSpace) {
+		// A version's first component parses with strconv.Atoi, so a word
+		// that starts with neither a digit nor a sign is no version; skip
+		// it without paying for ParseVersion's error.
+		if c := f[0]; (c < '0' || c > '9') && c != '+' && c != '-' {
+			continue
+		}
 		v, err := libver.ParseVersion(f)
 		if err != nil {
 			continue
@@ -246,24 +253,8 @@ func parseBannerVersion(banner string) (string, bool) {
 	return "", false
 }
 
-func splitFields(s string) []string {
-	var out []string
-	cur := ""
-	for _, r := range s {
-		if r == ' ' || r == '\n' || r == '\t' {
-			if cur != "" {
-				out = append(out, cur)
-				cur = ""
-			}
-			continue
-		}
-		cur += string(r)
-	}
-	if cur != "" {
-		out = append(out, cur)
-	}
-	return out
-}
+// isBannerSpace reports whether r separates the words of a banner.
+func isBannerSpace(r rune) bool { return r == ' ' || r == '\n' || r == '\t' }
 
 // languageSupported reports whether the compiler can build the code at all;
 // pre-GCC-4 GNU toolchains lack a Fortran 90 compiler.

@@ -179,7 +179,7 @@ func (fs *FS) mutated(p string, attrOnly bool) {
 		if cp == "/" {
 			q = "/"
 		} else {
-			dir, base := path.Split(cp)
+			dir, base := splitClean(cp)
 			if n, rp, err := fs.lookup(dir, true); err == nil && n.kind == KindDir {
 				q = path.Join(rp, base)
 			}
@@ -415,15 +415,31 @@ var (
 
 const maxLinkDepth = 40
 
-// clean canonicalizes a path to an absolute, slash-separated form.
+// clean canonicalizes a path to an absolute, slash-separated form. A path
+// already in that form, as every path a fleet build writes is, comes back
+// as it is, without a path.Clean pass.
 func clean(p string) (string, error) {
 	if p == "" {
 		return "", ErrInvalidPath
+	}
+	if isCleanAbs(p) {
+		return p, nil
 	}
 	if !strings.HasPrefix(p, "/") {
 		p = "/" + p
 	}
 	return path.Clean(p), nil
+}
+
+// splitClean is path.Split for a clean absolute path, without its trailing
+// slash: dir is clean too ("/" for a top-level name), so looking it up
+// takes the clean-path walker.
+func splitClean(cp string) (dir, base string) {
+	i := strings.LastIndexByte(cp, '/')
+	if i == 0 {
+		return "/", cp[1:]
+	}
+	return cp[:i], cp[i+1:]
 }
 
 // splitPath returns the path components of a cleaned absolute path.
@@ -499,21 +515,139 @@ func (fs *FS) walkClean(p string, followLast bool) (n *node, sib string, ok bool
 			return nil, "", true, ErrNotExist
 		}
 		if child.kind == KindSymlink && (!last || followLast) {
-			if !last || !isPlainName(child.target) {
+			if !last {
 				return nil, "", false, nil
 			}
-			target, found := cur.children[child.target]
-			if !found {
-				return nil, "", true, ErrNotExist
-			}
-			if target.kind == KindSymlink {
-				return nil, "", false, nil
-			}
-			return target, child.target, true, nil
+			return followSibling(cur, child)
 		}
 		cur = child
 	}
 	return cur, "", true, nil
+}
+
+// followSibling resolves link, a final symlink in dir, when its target is
+// a plain name in dir that is not itself a link, and returns that name as
+// sib. Any other target reports ok=false, for the general walker.
+func followSibling(dir, link *node) (n *node, sib string, ok bool, err error) {
+	if !isPlainName(link.target) {
+		return nil, "", false, nil
+	}
+	target, found := dir.children[link.target]
+	if !found {
+		return nil, "", true, ErrNotExist
+	}
+	if target.kind == KindSymlink {
+		return nil, "", false, nil
+	}
+	return target, link.target, true, nil
+}
+
+// Dir is a directory resolved once for lookups of the names in it: a
+// dynamic-loader search directory, searched for every library of a link
+// closure. The zero value is not usable; call FS.OpenDir. A Dir sees the
+// directory as it was when opened, so it must not outlive a mutation of
+// the filesystem.
+type Dir struct {
+	fs   *FS
+	path string // the directory as given, for joined paths
+	// concat records that path is clean, absolute and not the root, so
+	// joining a plain name to it is a concatenation.
+	concat bool
+	n      *node  // the resolved directory; nil when path does not resolve to one
+	real   string // n's canonical path
+	err    error  // why path does not resolve to a directory
+}
+
+// OpenDir resolves dir for lookups of the names in it. dir is cleaned the
+// way path.Join(dir, name) cleans it, taken from the root like every vfs
+// path, and symlinks are followed. OpenDir does not consult the fault
+// hook; ReadELF does, once per name. A dir that does not resolve to a
+// directory gives a handle in which every name misses.
+func (fs *FS) OpenDir(dir string) Dir {
+	d := Dir{fs: fs, path: dir, concat: dir != "/" && isCleanAbs(dir)}
+	n, rp, err := fs.lookup(mustClean(dir), true)
+	switch {
+	case err != nil:
+		d.err = err
+	case n.kind != KindDir:
+		d.err = ErrNotDir
+	default:
+		d.n, d.real = n, rp
+	}
+	return d
+}
+
+// Join returns path.Join(dir, name) for the directory as given to
+// OpenDir: the path that FS.ReadELF would read name at.
+func (d *Dir) Join(name string) string {
+	if d.concat && isPlainName(name) {
+		return d.path + "/" + name
+	}
+	return path.Join(d.path, name)
+}
+
+// ReadELF is FS.ReadELF(d.Join(name)) through the handle: it gives the
+// same File, or a failure with the same cause, and also the file's real
+// path, which ResolvePath would give. A plain name costs one lookup among
+// the directory's children, and a final symlink to a sibling
+// (libmpi.so.0 -> libmpi.so.0.0.1) one more; any other name or link goes
+// to the general walker. The "read" fault hook runs once per call with
+// the joined path, as FS.ReadELF runs it, and that path is built only
+// when a hook is installed, so a miss builds no string. Failures carry
+// their cause, not the path, except a failure the hook injects.
+func (d *Dir) ReadELF(name string) (f *elfimg.File, realPath string, err error) {
+	var p string
+	if d.fs.opHook != nil {
+		p = d.Join(name)
+		if err := d.fs.opErr("read", p); err != nil {
+			return nil, "", err
+		}
+	}
+	n, leaf, ok, err := d.lookup(name)
+	if !ok {
+		if p == "" {
+			p = d.Join(name)
+		}
+		n, realPath, err = d.fs.lookup(p, true)
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	if n.kind != KindFile {
+		return nil, "", ErrIsDir
+	}
+	if f, err = n.blob.elf.Parse(n.blob.data); err != nil {
+		return nil, "", err
+	}
+	if realPath == "" {
+		dir := d.real
+		if dir == "/" {
+			dir = ""
+		}
+		realPath = dir + "/" + leaf
+	}
+	return f, realPath, nil
+}
+
+// lookup finds a plain name among the directory's children, following a
+// final sibling symlink the way walkClean does, and returns the node with
+// its name in the directory's canonical path. Any other name or link
+// reports ok=false, for the general walker.
+func (d *Dir) lookup(name string) (n *node, leaf string, ok bool, err error) {
+	if !isPlainName(name) {
+		return nil, "", false, nil
+	}
+	if d.n == nil {
+		return nil, "", true, d.err
+	}
+	child, found := d.n.children[name]
+	if !found {
+		return nil, "", true, ErrNotExist
+	}
+	if child.kind == KindSymlink {
+		return followSibling(d.n, child)
+	}
+	return child, name, true, nil
 }
 
 // isCleanAbs reports whether p is absolute and already in path.Clean form.
@@ -588,8 +722,8 @@ func (fs *FS) parentOf(p string) (*node, string, error) {
 	if cp == "/" {
 		return nil, "", &PathError{Op: "create", Path: p, Err: ErrExist}
 	}
-	dir, base := path.Split(cp)
-	parent, _, err := fs.lookup(dir, true)
+	dir, base := splitClean(cp)
+	parent, err := fs.lookupNode(dir)
 	if err != nil {
 		return nil, "", &PathError{Op: "create", Path: p, Err: err}
 	}
@@ -634,9 +768,21 @@ func (fs *FS) mkdirAll(p string) error {
 	if err != nil {
 		return &PathError{Op: "mkdir", Path: p, Err: err}
 	}
-	cur, curPath := fs.root, "/"
-	for _, name := range splitPath(cp) {
-		childPath := path.Join(curPath, name)
+	// Until a symlink leads elsewhere, the directory walked so far is a
+	// prefix of cp, so a child's path is cut from cp rather than joined.
+	cur, curPath, onPath := fs.root, "/", true
+	for start := 1; start < len(cp); {
+		end := strings.IndexByte(cp[start:], '/')
+		if end < 0 {
+			end = len(cp)
+		} else {
+			end += start
+		}
+		name, childPath := cp[start:end], cp[:end]
+		start = end + 1
+		if !onPath {
+			childPath = path.Join(curPath, name)
+		}
 		child, ok := cur.children[name]
 		if !ok {
 			child = &node{kind: KindDir, children: map[string]*node{}, mode: 0o755}
@@ -648,7 +794,7 @@ func (fs *FS) mkdirAll(p string) error {
 			if err != nil {
 				return &PathError{Op: "mkdir", Path: p, Err: err}
 			}
-			child, childPath = resolved, rp
+			child, childPath, onPath = resolved, rp, false
 		}
 		if child.kind != KindDir {
 			return &PathError{Op: "mkdir", Path: p, Err: ErrNotDir}
@@ -678,7 +824,8 @@ func (fs *FS) WriteBlob(p string, b *Blob) error {
 	if err != nil {
 		return &PathError{Op: "write", Path: p, Err: err}
 	}
-	if err := fs.mkdirAll(path.Dir(cp)); err != nil {
+	dir, _ := splitClean(cp)
+	if err := fs.mkdirAll(dir); err != nil {
 		return err
 	}
 	parent, base, err := fs.parentOf(cp)
@@ -764,7 +911,8 @@ func (fs *FS) Symlink(target, linkPath string) error {
 	if err := fs.opErr("symlink", linkPath); err != nil {
 		return err
 	}
-	if err := fs.mkdirAll(path.Dir(mustClean(linkPath))); err != nil {
+	dir, _ := splitClean(mustClean(linkPath))
+	if err := fs.mkdirAll(dir); err != nil {
 		return err
 	}
 	parent, base, err := fs.parentOf(linkPath)
@@ -853,7 +1001,8 @@ func (fs *FS) Rename(oldp, newp string) error {
 	if err != nil {
 		return &PathError{Op: "rename", Path: newp, Err: err}
 	}
-	if err := fs.mkdirAll(path.Dir(cp)); err != nil {
+	dir, _ := splitClean(cp)
+	if err := fs.mkdirAll(dir); err != nil {
 		return err
 	}
 	nparent, nbase, err := fs.parentOf(cp)
