@@ -52,7 +52,7 @@ fault:
 # engine-level tracing and no-lost-samples tests, under the race detector.
 obs:
 	$(GO) test -race -count=1 ./internal/obs/
-	$(GO) test -race -count=1 -run 'Tracing|Histograms|Sentinel|PredictEvaluate|FunctionalOptions|RetryWithHook' ./internal/feam/ ./internal/fault/
+	$(GO) test -race -count=1 -run 'Tracing|Histograms|Sentinel|PredictRequestForms|FunctionalOptions|RetryWithHook' ./internal/feam/ ./internal/fault/
 
 # Static analysis: vet, then the repo's own analyzer suite (feamcheck),
 # which enforces the engine invariants — span lifecycle, fault-taxonomy

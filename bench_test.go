@@ -90,11 +90,13 @@ func BenchmarkTable1Identification(b *testing.B) {
 // enumeration via modules, softenv, and path search.
 func BenchmarkTable2SiteDiscovery(b *testing.B) {
 	tb := benchTestbed(b)
+	ctx := context.Background()
+	eng := feam.New()
 	for _, name := range []string{"india", "blacklight", "fir"} {
 		site := tb.ByName[name]
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				env, err := feam.Discover(site)
+				env, err := eng.Discover(ctx, site)
 				if err != nil || len(env.Available) == 0 {
 					b.Fatalf("discovery failed: %v", err)
 				}
@@ -109,20 +111,25 @@ func BenchmarkTable3Prediction(b *testing.B) {
 	tb := benchTestbed(b)
 	runner := experiment.NewSimProbeRunner(benchSim())
 	art := compileBench(b, tb, "india", "openmpi-1.4-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, art.Name)
+	ctx := context.Background()
+	eng := feam.New()
+	desc, err := eng.Describe(ctx, art.Bytes, art.Name)
 	if err != nil {
 		b.Fatal(err)
 	}
 	fir := tb.ByName["fir"]
-	env, err := feam.Discover(fir)
+	env, err := eng.Discover(ctx, fir)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bundle := sourceBundle(b, tb, "india", "openmpi-1.4-gnu", art)
+	bundle := sourceBundle(b, eng, tb, "india", "openmpi-1.4-gnu", art)
 
 	b.Run("basic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pred, err := feam.Evaluate(desc, art.Bytes, env, fir, feam.EvalOptions{Runner: runner})
+			pred, err := eng.Predict(ctx, feam.EvalRequest{
+				Desc: desc, Binary: art.Bytes, Env: env, Site: fir,
+				Options: feam.EvalOptions{Runner: runner},
+			})
 			if err != nil || !pred.Ready {
 				b.Fatalf("prediction failed: %v", err)
 			}
@@ -130,8 +137,9 @@ func BenchmarkTable3Prediction(b *testing.B) {
 	})
 	b.Run("extended", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pred, err := feam.Evaluate(desc, art.Bytes, env, fir, feam.EvalOptions{
-				Runner: runner, Bundle: bundle, Resolve: true,
+			pred, err := eng.Predict(ctx, feam.EvalRequest{
+				Desc: desc, Binary: art.Bytes, Env: env, Site: fir,
+				Options: feam.EvalOptions{Runner: runner, Bundle: bundle, Resolve: true},
 			})
 			if err != nil || !pred.Ready {
 				b.Fatalf("prediction failed: %v", err)
@@ -147,20 +155,23 @@ func BenchmarkTable4Resolution(b *testing.B) {
 	tb := benchTestbed(b)
 	runner := experiment.NewSimProbeRunner(benchSim())
 	art := compileBench(b, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, art.Name)
+	ctx := context.Background()
+	eng := feam.New()
+	desc, err := eng.Describe(ctx, art.Bytes, art.Name)
 	if err != nil {
 		b.Fatal(err)
 	}
 	india := tb.ByName["india"]
-	env, err := feam.Discover(india)
+	env, err := eng.Discover(ctx, india)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bundle := sourceBundle(b, tb, "ranger", "mvapich2-1.2-gnu", art)
+	bundle := sourceBundle(b, eng, tb, "ranger", "mvapich2-1.2-gnu", art)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pred, err := feam.Evaluate(desc, art.Bytes, env, india, feam.EvalOptions{
-			Runner: runner, Bundle: bundle, Resolve: true,
+		pred, err := eng.Predict(ctx, feam.EvalRequest{
+			Desc: desc, Binary: art.Bytes, Env: env, Site: india,
+			Options: feam.EvalOptions{Runner: runner, Bundle: bundle, Resolve: true},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -187,9 +198,16 @@ func BenchmarkSourcePhaseBundle(b *testing.B) {
 	}
 	defer ranger.RestoreEnv(snap)
 	cfg := benchConfig("source", "/home/user/"+art.Name)
+	// One run before the clock starts warms the engine's description and
+	// survey caches, so each iteration times a warm source phase.
+	ctx := context.Background()
+	eng := feam.New()
+	if _, _, err := eng.RunSourcePhase(ctx, cfg, ranger, runner); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bundle, _, err := feam.RunSourcePhase(cfg, ranger, runner)
+		bundle, _, err := eng.RunSourcePhase(ctx, cfg, ranger, runner)
 		if err != nil || bundle.Size() == 0 {
 			b.Fatalf("source phase failed: %v", err)
 		}
@@ -299,21 +317,24 @@ func BenchmarkAblationRecursiveResolution(b *testing.B) {
 	tb := benchTestbed(b)
 	runner := experiment.NewSimProbeRunner(benchSim())
 	art := compileBench(b, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, art.Name)
+	ctx := context.Background()
+	eng := feam.New()
+	desc, err := eng.Describe(ctx, art.Bytes, art.Name)
 	if err != nil {
 		b.Fatal(err)
 	}
 	india := tb.ByName["india"]
-	env, err := feam.Discover(india)
+	env, err := eng.Discover(ctx, india)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bundle := sourceBundle(b, tb, "ranger", "mvapich2-1.2-gnu", art)
+	bundle := sourceBundle(b, eng, tb, "ranger", "mvapich2-1.2-gnu", art)
 	for name, shallow := range map[string]bool{"recursive": false, "single-level": true} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := feam.Evaluate(desc, art.Bytes, env, india, feam.EvalOptions{
-					Runner: runner, Bundle: bundle, Resolve: true, ShallowResolution: shallow,
+				if _, err := eng.Predict(ctx, feam.EvalRequest{
+					Desc: desc, Binary: art.Bytes, Env: env, Site: india,
+					Options: feam.EvalOptions{Runner: runner, Bundle: bundle, Resolve: true, ShallowResolution: shallow},
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -328,32 +349,37 @@ func BenchmarkAblationRecursiveResolution(b *testing.B) {
 func BenchmarkAblationDeterminantOrder(b *testing.B) {
 	tb := benchTestbed(b)
 	runner := experiment.NewSimProbeRunner(benchSim())
+	ctx := context.Background()
+	eng := feam.New()
 	ranger := tb.ByName["ranger"]
-	envRanger, err := feam.Discover(ranger)
+	envRanger, err := eng.Discover(ctx, ranger)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// A binary that fails the C-library gate at ranger.
 	failing := compileBench(b, tb, "forge", "openmpi-1.4-gnu", "lu")
-	failingDesc, err := feam.DescribeBytes(failing.Bytes, failing.Name)
+	failingDesc, err := eng.Describe(ctx, failing.Bytes, failing.Name)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// A binary that passes all gates and pays for the probes.
 	passing := compileBench(b, tb, "india", "openmpi-1.4-gnu", "is")
-	passingDesc, err := feam.DescribeBytes(passing.Bytes, passing.Name)
+	passingDesc, err := eng.Describe(ctx, passing.Bytes, passing.Name)
 	if err != nil {
 		b.Fatal(err)
 	}
 	fir := tb.ByName["fir"]
-	envFir, err := feam.Discover(fir)
+	envFir, err := eng.Discover(ctx, fir)
 	if err != nil {
 		b.Fatal(err)
 	}
 
 	b.Run("early-exit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pred, err := feam.Evaluate(failingDesc, failing.Bytes, envRanger, ranger, feam.EvalOptions{Runner: runner})
+			pred, err := eng.Predict(ctx, feam.EvalRequest{
+				Desc: failingDesc, Binary: failing.Bytes, Env: envRanger, Site: ranger,
+				Options: feam.EvalOptions{Runner: runner},
+			})
 			if err != nil || pred.Ready {
 				b.Fatal("expected early failure")
 			}
@@ -361,7 +387,10 @@ func BenchmarkAblationDeterminantOrder(b *testing.B) {
 	})
 	b.Run("full-evaluation", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pred, err := feam.Evaluate(passingDesc, passing.Bytes, envFir, fir, feam.EvalOptions{Runner: runner})
+			pred, err := eng.Predict(ctx, feam.EvalRequest{
+				Desc: passingDesc, Binary: passing.Bytes, Env: envFir, Site: fir,
+				Options: feam.EvalOptions{Runner: runner},
+			})
 			if err != nil || !pred.Ready {
 				b.Fatal("expected success")
 			}
@@ -375,7 +404,7 @@ func BenchmarkAblationDeterminantOrder(b *testing.B) {
 func BenchmarkAblationVersionPolicy(b *testing.B) {
 	tb := benchTestbed(b)
 	art := compileBench(b, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	bundle := sourceBundle(b, tb, "ranger", "mvapich2-1.2-gnu", art)
+	bundle := sourceBundle(b, feam.New(), tb, "ranger", "mvapich2-1.2-gnu", art)
 	// The compatibility rule finds libmpich.so.1.0 for a libmpich.so.1
 	// reference; exact matching does not.
 	b.Run("soname-major", func(b *testing.B) {
@@ -650,11 +679,11 @@ func BenchmarkRankSitesParallel(b *testing.B) {
 	tb := benchTestbed(b)
 	runner := experiment.NewSimProbeRunner(benchSim())
 	art := compileBench(b, tb, "india", "openmpi-1.4-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, art.Name)
+	ctx := context.Background()
+	desc, err := feam.New().Describe(ctx, art.Bytes, art.Name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := context.Background()
 	opts := feam.EvalOptions{Runner: runner}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
@@ -681,11 +710,11 @@ func BenchmarkRankSitesWarm(b *testing.B) {
 	tb := benchTestbed(b)
 	runner := experiment.NewSimProbeRunner(benchSim())
 	art := compileBench(b, tb, "india", "openmpi-1.4-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, art.Name)
+	ctx := context.Background()
+	desc, err := feam.New().Describe(ctx, art.Bytes, art.Name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := context.Background()
 	opts := feam.EvalOptions{Runner: runner}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
@@ -704,7 +733,7 @@ func BenchmarkRankSitesWarm(b *testing.B) {
 	}
 }
 
-func sourceBundle(b *testing.B, tb *testbed.Testbed, siteName, stackKey string, art *toolchain.Artifact) *feam.Bundle {
+func sourceBundle(b *testing.B, eng *feam.Engine, tb *testbed.Testbed, siteName, stackKey string, art *toolchain.Artifact) *feam.Bundle {
 	b.Helper()
 	site := tb.ByName[siteName]
 	if err := site.FS().WriteFile("/home/user/"+art.Name, art.Bytes); err != nil {
@@ -716,7 +745,7 @@ func sourceBundle(b *testing.B, tb *testbed.Testbed, siteName, stackKey string, 
 		b.Fatal(err)
 	}
 	runner := experiment.NewSimProbeRunner(benchSim())
-	bundle, _, err := feam.RunSourcePhase(benchConfig("source", "/home/user/"+art.Name), site, runner)
+	bundle, _, err := eng.RunSourcePhase(context.Background(), benchConfig("source", "/home/user/"+art.Name), site, runner)
 	if err != nil {
 		b.Fatal(err)
 	}

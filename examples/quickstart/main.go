@@ -68,7 +68,10 @@ func main() {
 	//    programs through the ground-truth execution simulator, the way the
 	//    real framework submits probes through the batch system.
 	runner := experiment.NewSimProbeRunner(execsim.NewSimulator(1))
-	pred, err := eng.Evaluate(ctx, desc, art.Bytes, env, fir, feam.EvalOptions{Runner: runner})
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: art.Bytes, Env: env, Site: fir,
+		Options: feam.EvalOptions{Runner: runner},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

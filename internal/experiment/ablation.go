@@ -122,7 +122,9 @@ func RunAblations(tb *testbed.Testbed, ts *TestSet, sim *execsim.Simulator) ([]A
 				Evaluators: evaluators,
 				StageDir:   fmt.Sprintf("/home/user/feam/ablate-%s/%s", cfg.Name, bin.ID()),
 			}
-			pred, err := eng.Evaluate(ctx, desc, bin.Artifact.Bytes, envs[mig.Target], target, opts)
+			pred, err := eng.Predict(ctx, feam.EvalRequest{
+				Desc: desc, Binary: bin.Artifact.Bytes, Env: envs[mig.Target], Site: target, Options: opts,
+			})
 			if err != nil {
 				return nil, err
 			}

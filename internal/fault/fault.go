@@ -85,12 +85,3 @@ func IsTransient(err error) bool {
 	var f *Fault
 	return errors.As(err, &f) && f.Class == Transient
 }
-
-// AsFault extracts the Fault wrapped in err, if any.
-func AsFault(err error) (*Fault, bool) {
-	var f *Fault
-	if errors.As(err, &f) {
-		return f, true
-	}
-	return nil, false
-}

@@ -29,8 +29,9 @@ func TestFaultClassification(t *testing.T) {
 	if !IsTransient(wrapped) {
 		t.Error("wrapped transient fault lost its class")
 	}
-	if f, ok := AsFault(wrapped); !ok || f.Op != "write" {
-		t.Errorf("AsFault(wrapped) = %v, %v", f, ok)
+	var f *Fault
+	if !errors.As(wrapped, &f) || f.Op != "write" {
+		t.Errorf("errors.As(wrapped) = %v", f)
 	}
 }
 
@@ -80,7 +81,8 @@ func TestPolicyLatencyHonorsCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
-	if _, ok := AsFault(err); ok {
+	var f *Fault
+	if errors.As(err, &f) {
 		t.Error("cancellation was classified as an injected fault")
 	}
 	if p.Injected() != 0 {

@@ -16,16 +16,17 @@ import (
 // real compiled binary: the ABI determinant must run, attach the
 // per-symbol report, and agree with the closure checker on a clean site.
 func TestPredictWithABICheck(t *testing.T) {
+	ctx := context.Background()
 	tb := sharedTestbed(t)
 	site := tb.ByName["india"]
 	art := compileAt(t, tb, "india", "openmpi-1.4-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.abi")
+	eng := feam.New()
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.abi")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	eng := feam.New()
-	pred, err := eng.Predict(context.Background(), feam.EvalRequest{
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
 		Desc: desc, Binary: art.Bytes, Site: site,
 		Options: feam.EvalOptions{Runner: experimentRunner(), Evaluators: feam.ABIEvaluators(true)},
 	})
@@ -163,18 +164,19 @@ func TestABICheckSpansJoinTheRequestTree(t *testing.T) {
 // foreign stack because it exports the MPI entry points the binary
 // imports (arXiv:2308.11214).
 func TestMPIStackABIStandardClass(t *testing.T) {
+	ctx := context.Background()
 	tb := sharedTestbed(t)
 	site := tb.ByName["blacklight"]
 	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.mvapich")
+	eng := feam.New()
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.mvapich")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := feam.New()
 
 	// Paper-faithful ladder: no MVAPICH2 at blacklight, so the MPI
 	// determinant fails.
-	base, err := eng.Predict(context.Background(), feam.EvalRequest{
+	base, err := eng.Predict(ctx, feam.EvalRequest{
 		Desc: desc, Binary: art.Bytes, Site: site,
 		Options: feam.EvalOptions{Runner: experimentRunner()},
 	})
@@ -188,7 +190,7 @@ func TestMPIStackABIStandardClass(t *testing.T) {
 
 	// Extended ladder: the ABI-standard class admits Open MPI's exported
 	// surface.
-	ext, err := eng.Predict(context.Background(), feam.EvalRequest{
+	ext, err := eng.Predict(ctx, feam.EvalRequest{
 		Desc: desc, Binary: art.Bytes, Site: site,
 		Options: feam.EvalOptions{
 			Runner:     experimentRunner(),

@@ -62,16 +62,9 @@ func (d *BinaryDescription) IsSharedLibrary() bool {
 // UsesMPI reports whether an MPI implementation was identified.
 func (d *BinaryDescription) UsesMPI() bool { return d.MPIImpl != "" }
 
-// DescribeBytes runs the BDC's description process on a raw binary image
-// (the objdump -p / readelf -p .comment equivalent). It is memoized
-// through the package-level default engine; identical content described
-// under the same name returns a shared description.
-func DescribeBytes(data []byte, name string) (*BinaryDescription, error) {
-	return DefaultEngine().Describe(context.Background(), data, name)
-}
-
-// describeBytes is the uncached description process; hash is the image's
-// precomputed content hash.
+// describeBytes is the BDC's uncached description process on a raw binary
+// image (the objdump -p / readelf -p .comment equivalent); hash is the
+// image's precomputed content hash.
 func describeBytes(data []byte, name, hash string) (*BinaryDescription, error) {
 	f, err := elfimg.Parse(data)
 	if err != nil {
@@ -162,7 +155,9 @@ type GatherResult struct {
 // libc). The primary mechanism is the ldd equivalent (dynamic-loader
 // resolution under the site's current environment); libraries the loader
 // cannot place are hunted with the locate/find-style filesystem searches.
-func GatherLibraries(site *sitemodel.Site, binary []byte, name string) (*GatherResult, error) {
+// Each copy is described through the engine's memoized BDC under ctx (the
+// recursive description process of §V.A).
+func (e *Engine) GatherLibraries(ctx context.Context, site *sitemodel.Site, binary []byte, name string) (*GatherResult, error) {
 	res := &GatherResult{}
 	resolution, err := ldso.ResolveBytes(binary, name, ldso.Options{
 		FS:          site.FS(),
@@ -200,8 +195,11 @@ func GatherLibraries(site *sitemodel.Site, binary []byte, name string) (*GatherR
 			res.NotFound = append(res.NotFound, dep)
 			continue
 		}
-		desc, err := DescribeBytes(data, dep)
+		desc, err := e.Describe(ctx, data, dep)
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil, err
+			}
 			res.NotFound = append(res.NotFound, dep)
 			continue
 		}

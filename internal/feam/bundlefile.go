@@ -348,7 +348,7 @@ func decodeLibraryCopy(body []byte, name string) (*LibraryCopy, error) {
 		}
 	}
 	lc.Data = append([]byte(nil), body[4+attrLen:]...)
-	desc, err := DescribeBytes(lc.Data, name)
+	desc, err := describeBytes(lc.Data, name, contentHash(lc.Data))
 	if err != nil {
 		return nil, fmt.Errorf("%w: library %q: %w", ErrBadBundle, name, err)
 	}

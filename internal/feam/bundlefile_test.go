@@ -2,6 +2,7 @@ package feam_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func makeBundle(t *testing.T) *feam.Bundle {
 		t.Fatal(err)
 	}
 	runner := experimentRunner()
-	bundle, _, err := feam.RunSourcePhase(testConfig("source", path), ranger, runner)
+	bundle, _, err := feam.New().RunSourcePhase(context.Background(), testConfig("source", path), ranger, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +148,8 @@ func TestBundleDecodeGarbageQuick(t *testing.T) {
 // through its filesystem and uses it in a target phase — the full workflow
 // the paper describes, including the "binary not present at target" mode.
 func TestBundleTransportScenario(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	bundle := makeBundle(t)
 	india := tb.ByName["india"]
@@ -171,7 +174,7 @@ func TestBundleTransportScenario(t *testing.T) {
 	// Target phase without the binary on site: the bundle alone suffices.
 	cfg := testConfig("target", "")
 	cfg.BundlePath = "/home/user/cg.feambundle"
-	pred, _, err := feam.RunTargetPhase(cfg, india, shipped, experimentRunner())
+	pred, _, err := eng.RunTargetPhase(ctx, cfg, india, shipped, experimentRunner())
 	if err != nil {
 		t.Fatal(err)
 	}

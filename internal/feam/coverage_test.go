@@ -1,6 +1,7 @@
 package feam_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -50,13 +51,15 @@ func TestBundleSummary(t *testing.T) {
 // binary on site nor AppBytes in the bundle reconstructs a loader probe
 // from the description (tec.syntheticImage).
 func TestBundleOnlyTargetPhaseSyntheticImage(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	bundle := makeBundle(t)
 	bundle.AppBytes = nil // strip the binary: description-only mode
 	india := tb.ByName["india"]
 	cfg := testConfig("target", "")
 	cfg.BundlePath = "/home/user/desc-only.feambundle"
-	pred, _, err := feam.RunTargetPhase(cfg, india, bundle, experimentRunner())
+	pred, _, err := eng.RunTargetPhase(ctx, cfg, india, bundle, experimentRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +75,8 @@ func TestBundleOnlyTargetPhaseSyntheticImage(t *testing.T) {
 }
 
 func TestRankSitesWithErrorSite(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	india := tb.ByName["india"]
 	rec := india.FindStack("openmpi-1.4-gnu")
@@ -79,7 +84,7 @@ func TestRankSitesWithErrorSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc, err := feam.DescribeBytes(art.Bytes, "is.rank-err")
+	desc, err := eng.Describe(ctx, art.Bytes, "is.rank-err")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +94,7 @@ func TestRankSitesWithErrorSite(t *testing.T) {
 	if err := broken.FS().Remove("/proc/sys/kernel/uname"); err != nil {
 		t.Fatal(err)
 	}
-	ranked := feam.RankSites(desc, art.Bytes, []*sitemodel.Site{broken, tb.ByName["fir"]},
+	ranked := eng.RankSites(ctx, desc, art.Bytes, []*sitemodel.Site{broken, tb.ByName["fir"]},
 		feam.EvalOptions{Runner: experimentRunner()})
 	if len(ranked) != 2 {
 		t.Fatalf("ranked = %d", len(ranked))

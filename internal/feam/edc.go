@@ -76,13 +76,6 @@ func (e *EnvironmentDescription) FindStacks(impl string) []StackInfo {
 	return out
 }
 
-// Discover runs the Environment Discovery Component at a site. It is
-// memoized through the package-level default engine: repeat surveys of an
-// unchanged site return the cached description.
-func Discover(site *sitemodel.Site) (*EnvironmentDescription, error) {
-	return DefaultEngine().Discover(context.Background(), site)
-}
-
 // surveySite is the uncached survey: the system surface first (a failure
 // there means the site is unreachable), then the sharded filesystem index,
 // then the glibc and MPI-stack determinations merged out of it. The

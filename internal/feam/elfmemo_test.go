@@ -203,8 +203,9 @@ func TestParsedELFMemoIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := eng.Evaluate(ctx, desc, rangerApp, env, india, feam.EvalOptions{
-		Bundle: bundle, Resolve: true, Runner: experimentRunner(),
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: rangerApp, Env: env, Site: india,
+		Options: feam.EvalOptions{Bundle: bundle, Resolve: true, Runner: experimentRunner()},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash/fnv"
 	"runtime"
 	"sync"
@@ -29,7 +28,7 @@ import (
 // for concurrent use. Sites themselves are NOT internally synchronized —
 // any caller running engine operations against the same site from
 // multiple goroutines must hold SiteLock(site.Name) around them. RankSites
-// does this itself; Evaluate and the phase runners leave it to the caller
+// does this itself; Predict and the phase runners leave it to the caller
 // so a caller can group several operations (stage a binary, activate a
 // stack, evaluate) into one critical section without deadlocking. Engines
 // sharing one registry share one set of site locks, which is what makes
@@ -66,20 +65,6 @@ func defaultWorkers() int {
 		n = 1
 	}
 	return n
-}
-
-// defaultEngine backs the package-level free functions so the pre-engine
-// public surface keeps working (and transparently gains the caches).
-var (
-	defaultEngineOnce sync.Once
-	defaultEngineVal  *Engine
-)
-
-// DefaultEngine returns the shared package-level engine used by the free
-// Describe/Discover/Evaluate/phase functions.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngineVal = New() })
-	return defaultEngineVal
 }
 
 // Tracer returns the engine's span tracer (never nil). Attach sinks for
@@ -223,39 +208,6 @@ func (e *Engine) InvalidateSite(name string) {
 	if e.store != nil {
 		_ = e.store.Delete(KindSurvey, name)
 	}
-}
-
-// Evaluate runs the Target Evaluation Component through the paper's
-// determinant registry (or opts.Evaluators when set): each registered
-// evaluator records its determinant's outcome on the prediction, and a Fail
-// gates off the rest — the paper's cheap-checks-first ladder. appBytes may
-// be nil when a bundle carries the description; the shared-library
-// determinant reconstructs a synthetic probe image from the description.
-//
-// The caller must hold SiteLock(site.Name) when the site is shared across
-// goroutines; Evaluate temporarily mutates the site environment while
-// testing candidate stacks and stages library copies when resolving.
-//
-// When an evaluator errors, Evaluate returns the partial prediction built
-// so far (Ready=false, with the determinant trail up to the failure)
-// alongside the error, so callers ranking many sites can keep the trail
-// for diagnosis instead of discarding the whole assessment.
-func (e *Engine) Evaluate(ctx context.Context, desc *BinaryDescription, appBytes []byte, env *EnvironmentDescription, site *sitemodel.Site, opts EvalOptions) (*Prediction, error) {
-	return e.evaluate(ctx, EvalRequest{
-		Desc:    desc,
-		Binary:  appBytes,
-		Env:     env,
-		Site:    site,
-		Options: opts,
-	})
-}
-
-// evaluate is Evaluate for a request that may carry the parsed binary.
-func (e *Engine) evaluate(ctx context.Context, req EvalRequest) (*Prediction, error) {
-	if req.Desc == nil || req.Env == nil || req.Site == nil {
-		return nil, fmt.Errorf("%w: Evaluate requires a description, environment, and site", ErrNoEnvironment)
-	}
-	return e.Predict(ctx, req)
 }
 
 // compile-time proof that the production registry satisfies the engine's

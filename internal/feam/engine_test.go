@@ -125,7 +125,7 @@ func TestEngineBDCCache(t *testing.T) {
 }
 
 // TestEngineContextCancellation: a cancelled context aborts Describe,
-// Discover and Evaluate with the context's error.
+// Discover and Predict with the context's error.
 func TestEngineContextCancellation(t *testing.T) {
 	tb := sharedTestbed(t)
 	india := tb.ByName["india"]
@@ -149,14 +149,14 @@ func TestEngineContextCancellation(t *testing.T) {
 	if _, err := eng.Discover(ctx, minimalSite(t)); err == nil {
 		t.Error("Discover should fail after cancellation")
 	}
-	if _, err := eng.Evaluate(ctx, desc, art.Bytes, env, india, feam.EvalOptions{}); err == nil {
-		t.Error("Evaluate should fail after cancellation")
+	if _, err := eng.Predict(ctx, feam.EvalRequest{Desc: desc, Binary: art.Bytes, Env: env, Site: india}); err == nil {
+		t.Error("Predict should fail after cancellation")
 	}
 }
 
 // TestEngineEvaluateNoInlineDeterminants: a custom evaluator list fully
 // replaces the built-in pipeline — with an empty registry nothing is
-// evaluated, proving Evaluate itself holds no determinant logic.
+// evaluated, proving Predict itself holds no determinant logic.
 func TestEngineEvaluateNoInlineDeterminants(t *testing.T) {
 	tb := sharedTestbed(t)
 	india := tb.ByName["india"]
@@ -172,8 +172,10 @@ func TestEngineEvaluateNoInlineDeterminants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := eng.Evaluate(ctx, desc, art.Bytes, env, india,
-		feam.EvalOptions{Evaluators: []feam.DeterminantEvaluator{}})
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: art.Bytes, Env: env, Site: india,
+		Options: feam.EvalOptions{Evaluators: []feam.DeterminantEvaluator{}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +185,10 @@ func TestEngineEvaluateNoInlineDeterminants(t *testing.T) {
 		}
 	}
 	// A single-evaluator registry touches exactly its own determinant.
-	pred, err = eng.Evaluate(ctx, desc, art.Bytes, env, india,
-		feam.EvalOptions{Evaluators: []feam.DeterminantEvaluator{feam.ISAEvaluator{}}})
+	pred, err = eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: art.Bytes, Env: env, Site: india,
+		Options: feam.EvalOptions{Evaluators: []feam.DeterminantEvaluator{feam.ISAEvaluator{}}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +230,7 @@ func TestEngineConcurrentSharedUse(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := eng.Evaluate(ctx, desc, art.Bytes, env, site, feam.EvalOptions{}); err != nil {
+				if _, err := eng.Predict(ctx, feam.EvalRequest{Desc: desc, Binary: art.Bytes, Env: env, Site: site}); err != nil {
 					lock.Unlock()
 					errs <- err
 					return
@@ -251,9 +255,11 @@ func TestEngineConcurrentSharedUse(t *testing.T) {
 // TestBundleRoundTripContentHash: the content hash survives bundle
 // encode/decode so staged-directory derivation is stable across transport.
 func TestBundleRoundTripContentHash(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "india", "openmpi-1.4-gnu", "ep")
-	desc, err := feam.DescribeBytes(art.Bytes, "ep.hash")
+	desc, err := eng.Describe(ctx, art.Bytes, "ep.hash")
 	if err != nil {
 		t.Fatal(err)
 	}

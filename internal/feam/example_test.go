@@ -13,9 +13,9 @@ import (
 	"feam/internal/sitemodel"
 )
 
-// ExampleDescribeBytes shows the Binary Description Component on a
+// ExampleEngine_Describe shows the Binary Description Component on a
 // hand-built MPI binary image.
-func ExampleDescribeBytes() {
+func ExampleEngine_Describe() {
 	img := elfimg.MustBuild(elfimg.Spec{
 		Class:   elfimg.Class64,
 		Machine: elfimg.EMX8664,
@@ -28,7 +28,7 @@ func ExampleDescribeBytes() {
 		},
 		Comments: []string{"Intel(R) C Compiler 11.1"},
 	})
-	desc, _ := feam.DescribeBytes(img, "milc.bin")
+	desc, _ := feam.New().Describe(context.Background(), img, "milc.bin")
 	fmt.Println(desc.Format)
 	fmt.Println(desc.MPIImpl)
 	fmt.Println(desc.RequiredGlibc)

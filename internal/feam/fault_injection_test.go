@@ -43,8 +43,9 @@ func TestStagingRollbackIsAllOrNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := eng.Evaluate(ctx, desc, appBytes, env, india, feam.EvalOptions{
-		Bundle: bundle, Resolve: true, Runner: experimentRunner(),
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: appBytes, Env: env, Site: india,
+		Options: feam.EvalOptions{Bundle: bundle, Resolve: true, Runner: experimentRunner()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +102,9 @@ func TestStagingRetriesTransientFaultThenCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := eng.Evaluate(ctx, desc, appBytes, env, india, feam.EvalOptions{
-		Bundle: bundle, Resolve: true, Runner: experimentRunner(),
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: appBytes, Env: env, Site: india,
+		Options: feam.EvalOptions{Bundle: bundle, Resolve: true, Runner: experimentRunner()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,13 +142,13 @@ func TestStagingRetriesTransientFaultThenCommits(t *testing.T) {
 func TestProbeRetriesTransientFault(t *testing.T) {
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.fault-probe-retry")
-	if err != nil {
-		t.Fatal(err)
-	}
 	india := tb.ByName["india"]
 	eng, counters := faultEngine()
 	ctx := context.Background()
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.fault-probe-retry")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var script fault.Script
 	script.FailNext(fault.Transient, "probe")
@@ -159,7 +161,10 @@ func TestProbeRetriesTransientFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := eng.Evaluate(ctx, desc, art.Bytes, env, india, feam.EvalOptions{Runner: runner})
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: art.Bytes, Env: env, Site: india,
+		Options: feam.EvalOptions{Runner: runner},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +186,13 @@ func TestProbeRetriesTransientFault(t *testing.T) {
 func TestProbePermanentFaultFailsFast(t *testing.T) {
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.fault-probe-permanent")
-	if err != nil {
-		t.Fatal(err)
-	}
 	india := tb.ByName["india"]
 	eng, counters := faultEngine()
 	ctx := context.Background()
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.fault-probe-permanent")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var script fault.Script
 	script.FailNext(fault.Permanent, "probe")
@@ -200,7 +205,10 @@ func TestProbePermanentFaultFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := eng.Evaluate(ctx, desc, art.Bytes, env, india, feam.EvalOptions{Runner: runner})
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: art.Bytes, Env: env, Site: india,
+		Options: feam.EvalOptions{Runner: runner},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +257,9 @@ func TestTransitivePoisoningEvictsDependents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := eng.Evaluate(ctx, desc, appBytes, env, india, feam.EvalOptions{
-		Bundle: bundle, Resolve: true, Runner: experimentRunner(),
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: appBytes, Env: env, Site: india,
+		Options: feam.EvalOptions{Bundle: bundle, Resolve: true, Runner: experimentRunner()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,16 +304,17 @@ func (failingEvaluator) Evaluate(ec *feam.EvalContext) error {
 // degrade the site to an assessment with Err AND the partial determinant
 // trail of everything that ran before it — not a discarded prediction.
 func TestRankSitesKeepsPartialTrailOnEvaluatorError(t *testing.T) {
+	ctx := context.Background()
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.fault-partial-trail")
+	eng, _ := faultEngine()
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.fault-partial-trail")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, _ := faultEngine()
 	evals := []feam.DeterminantEvaluator{feam.DefaultEvaluators()[0], failingEvaluator{}}
 	sites := []*sitemodel.Site{tb.ByName["india"], tb.ByName["fir"]}
-	ranked := eng.RankSites(context.Background(), desc, art.Bytes, sites,
+	ranked := eng.RankSites(ctx, desc, art.Bytes, sites,
 		feam.EvalOptions{Evaluators: evals})
 	for _, a := range ranked {
 		if a.Err == nil {
@@ -328,17 +338,18 @@ func TestRankSitesKeepsPartialTrailOnEvaluatorError(t *testing.T) {
 // TestRankSitesContainsPanickingRunner: a runner that panics must not take
 // down the survey; the panicking site degrades to an Err assessment.
 func TestRankSitesContainsPanickingRunner(t *testing.T) {
+	ctx := context.Background()
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.fault-panic")
+	eng := feam.New(feam.WithWorkers(2))
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.fault-panic")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := feam.New(feam.WithWorkers(2))
 	panicky := newCountingRunner(experimentRunner())
 	panicky.panics = true
 	sites := []*sitemodel.Site{tb.ByName["india"], tb.ByName["blacklight"]}
-	ranked := eng.RankSites(context.Background(), desc, art.Bytes, sites,
+	ranked := eng.RankSites(ctx, desc, art.Bytes, sites,
 		feam.EvalOptions{Runner: panicky})
 	if len(ranked) != 2 {
 		t.Fatalf("ranked = %d", len(ranked))
@@ -361,13 +372,15 @@ func TestRankSitesContainsPanickingRunner(t *testing.T) {
 // run and invalidations race them. The data races this guards against are
 // caught by `go test -race`.
 func TestConcurrentEngineConfiguration(t *testing.T) {
+	ctx := context.Background()
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.fault-config-race")
+	shared := registry.New()
+	eng := feam.New(feam.WithRegistry(shared))
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.fault-config-race")
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := registry.New()
 	sites := []*sitemodel.Site{tb.ByName["india"], tb.ByName["fir"], tb.ByName["blacklight"]}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -392,9 +405,8 @@ func TestConcurrentEngineConfiguration(t *testing.T) {
 			shared.Invalidate(sites[i%len(sites)].Name)
 		}
 	}()
-	eng := feam.New(feam.WithRegistry(shared))
 	for i := 0; i < 3; i++ {
-		ranked := eng.RankSites(context.Background(), desc, art.Bytes, sites,
+		ranked := eng.RankSites(ctx, desc, art.Bytes, sites,
 			feam.EvalOptions{Runner: experimentRunner()})
 		if len(ranked) != len(sites) {
 			t.Fatalf("ranked = %d", len(ranked))

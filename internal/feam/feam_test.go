@@ -1,6 +1,7 @@
 package feam_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -57,9 +58,11 @@ func compileAt(t *testing.T, tb *testbed.Testbed, siteName, stackKey, code strin
 }
 
 func TestDescribeBytes(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "india", "openmpi-1.4-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.binary")
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.binary")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +84,21 @@ func TestDescribeBytes(t *testing.T) {
 	if desc.IsSharedLibrary() || !desc.UsesMPI() {
 		t.Error("classification wrong")
 	}
-	if _, err := feam.DescribeBytes([]byte("not elf"), "x"); err == nil {
+	if _, err := eng.Describe(ctx, []byte("not elf"), "x"); err == nil {
 		t.Error("junk accepted")
 	}
 }
 
 func TestDescribeSharedLibrary(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	india := tb.ByName["india"]
 	data, err := india.FS().ReadFile("/opt/mvapich2-1.7a2-gnu/lib/libmpich.so.1.2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc, err := feam.DescribeBytes(data, "libmpich.so.1.2")
+	desc, err := eng.Describe(ctx, data, "libmpich.so.1.2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +114,8 @@ func TestDescribeSharedLibrary(t *testing.T) {
 }
 
 func TestGatherLibraries(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	india := tb.ByName["india"]
 	snap := india.SnapshotEnv()
@@ -117,7 +124,7 @@ func TestGatherLibraries(t *testing.T) {
 		t.Fatal(err)
 	}
 	art := compileAt(t, tb, "india", "openmpi-1.4-gnu", "cg")
-	res, err := feam.GatherLibraries(india, art.Bytes, "cg")
+	res, err := eng.GatherLibraries(ctx, india, art.Bytes, "cg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +153,8 @@ func TestGatherLibraries(t *testing.T) {
 }
 
 func TestGatherLibrariesFallbackSearch(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	fir := tb.ByName["fir"]
 	snap := fir.SnapshotEnv()
@@ -153,7 +162,7 @@ func TestGatherLibrariesFallbackSearch(t *testing.T) {
 	// Do NOT activate the stack: the loader will miss the MPI libraries and
 	// the gather must fall back to filesystem searches under /opt.
 	art := compileAt(t, tb, "fir", "mpich2-1.3-gnu", "is")
-	res, err := feam.GatherLibraries(fir, art.Bytes, "is")
+	res, err := eng.GatherLibraries(ctx, fir, art.Bytes, "is")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +187,8 @@ func TestGatherLibrariesFallbackSearch(t *testing.T) {
 // site's stored bytes instead of duplicating them, so a bundle costs no
 // library memory beyond the filesystem that already holds the files.
 func TestGatherLibrariesSharesSiteStorage(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	india := tb.ByName["india"]
 	snap := india.SnapshotEnv()
@@ -186,7 +197,7 @@ func TestGatherLibrariesSharesSiteStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	art := compileAt(t, tb, "india", "openmpi-1.4-gnu", "cg")
-	res, err := feam.GatherLibraries(india, art.Bytes, "cg")
+	res, err := eng.GatherLibraries(ctx, india, art.Bytes, "cg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +216,14 @@ func TestGatherLibrariesSharesSiteStorage(t *testing.T) {
 }
 
 func TestDiscoverModulesSite(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	india := tb.ByName["india"]
 	snap := india.SnapshotEnv()
 	defer india.RestoreEnv(snap)
 
-	env, err := feam.Discover(india)
+	env, err := eng.Discover(ctx, india)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +266,7 @@ func TestDiscoverModulesSite(t *testing.T) {
 	if err := testbed.ActivateStack(india, "mvapich2-1.7a2-gnu"); err != nil {
 		t.Fatal(err)
 	}
-	env, err = feam.Discover(india)
+	env, err = eng.Discover(ctx, india)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,9 +276,11 @@ func TestDiscoverModulesSite(t *testing.T) {
 }
 
 func TestDiscoverSoftEnvAndPathSearchSites(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	bl := tb.ByName["blacklight"]
-	env, err := feam.Discover(bl)
+	env, err := eng.Discover(ctx, bl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +295,7 @@ func TestDiscoverSoftEnvAndPathSearchSites(t *testing.T) {
 	}
 
 	fir := tb.ByName["fir"]
-	env, err = feam.Discover(fir)
+	env, err = eng.Discover(ctx, fir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,21 +313,26 @@ func TestDiscoverSoftEnvAndPathSearchSites(t *testing.T) {
 }
 
 func TestEvaluateReadyAtCompatibleSite(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	runner := experiment.NewSimProbeRunner(quietSim())
 	// india and fir share glibc, GCC, and MPI versions: a gnu Open MPI
 	// binary migrates cleanly.
 	art := compileAt(t, tb, "india", "openmpi-1.4-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.india")
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.india")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fir := tb.ByName["fir"]
-	env, err := feam.Discover(fir)
+	env, err := eng.Discover(ctx, fir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := feam.Evaluate(desc, art.Bytes, env, fir, feam.EvalOptions{Runner: runner})
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: art.Bytes, Env: env, Site: fir,
+		Options: feam.EvalOptions{Runner: runner},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,21 +354,26 @@ func TestEvaluateReadyAtCompatibleSite(t *testing.T) {
 }
 
 func TestEvaluateCLibraryGate(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	runner := experiment.NewSimProbeRunner(quietSim())
 	// An uncapped code built on forge (glibc 2.12) cannot run on ranger
 	// (2.3.4); evaluation stops at the C library determinant.
 	art := compileAt(t, tb, "forge", "openmpi-1.4-gnu", "lu")
-	desc, err := feam.DescribeBytes(art.Bytes, "lu.forge")
+	desc, err := eng.Describe(ctx, art.Bytes, "lu.forge")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ranger := tb.ByName["ranger"]
-	env, err := feam.Discover(ranger)
+	env, err := eng.Discover(ctx, ranger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := feam.Evaluate(desc, art.Bytes, env, ranger, feam.EvalOptions{Runner: runner})
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: art.Bytes, Env: env, Site: ranger,
+		Options: feam.EvalOptions{Runner: runner},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,20 +390,25 @@ func TestEvaluateCLibraryGate(t *testing.T) {
 }
 
 func TestEvaluateNoMatchingImplementation(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	runner := experiment.NewSimProbeRunner(quietSim())
 	// An MPICH2 binary cannot run at blacklight (Open MPI only).
 	art := compileAt(t, tb, "india", "mpich2-1.4-gnu", "is")
-	desc, err := feam.DescribeBytes(art.Bytes, "is.india.mpich2")
+	desc, err := eng.Describe(ctx, art.Bytes, "is.india.mpich2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	bl := tb.ByName["blacklight"]
-	env, err := feam.Discover(bl)
+	env, err := eng.Discover(ctx, bl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := feam.Evaluate(desc, art.Bytes, env, bl, feam.EvalOptions{Runner: runner})
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: art.Bytes, Env: env, Site: bl,
+		Options: feam.EvalOptions{Runner: runner},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,21 +421,26 @@ func TestEvaluateNoMatchingImplementation(t *testing.T) {
 }
 
 func TestEvaluateBrokenStackDetected(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	runner := experiment.NewSimProbeRunner(quietSim())
 	// MVAPICH2 binaries migrating to forge find only the broken
 	// mvapich2-1.7rc1-intel; the hello-world probe exposes it.
 	art := compileAt(t, tb, "india", "mvapich2-1.7a2-intel", "is")
-	desc, err := feam.DescribeBytes(art.Bytes, "is.india.mvapich2")
+	desc, err := eng.Describe(ctx, art.Bytes, "is.india.mvapich2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	forge := tb.ByName["forge"]
-	env, err := feam.Discover(forge)
+	env, err := eng.Discover(ctx, forge)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := feam.Evaluate(desc, art.Bytes, env, forge, feam.EvalOptions{Runner: runner})
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: art.Bytes, Env: env, Site: forge,
+		Options: feam.EvalOptions{Runner: runner},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,6 +456,8 @@ func TestEvaluateBrokenStackDetected(t *testing.T) {
 // on the paper's flagship resolution scenario: an MVAPICH2 1.2 binary from
 // ranger needs libmpich.so.1.0 at india, which only the bundle can provide.
 func TestSourceAndTargetPhasesWithResolution(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	sim := quietSim()
 	runner := experiment.NewSimProbeRunner(sim)
@@ -437,7 +474,7 @@ func TestSourceAndTargetPhasesWithResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcCfg := testConfig("source", "/home/user/cg.bin")
-	bundle, report, err := feam.RunSourcePhase(srcCfg, ranger, runner)
+	bundle, report, err := eng.RunSourcePhase(ctx, srcCfg, ranger, runner)
 	ranger.RestoreEnv(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +500,7 @@ func TestSourceAndTargetPhasesWithResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	tgtCfg := testConfig("target", "/home/user/cg.bin")
-	basic, _, err := feam.RunTargetPhase(tgtCfg, india, nil, runner)
+	basic, _, err := eng.RunTargetPhase(ctx, tgtCfg, india, nil, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +515,7 @@ func TestSourceAndTargetPhasesWithResolution(t *testing.T) {
 	}
 
 	// Extended target phase: resolution stages the copy and predicts ready.
-	ext, report2, err := feam.RunTargetPhase(tgtCfg, india, bundle, runner)
+	ext, report2, err := eng.RunTargetPhase(ctx, tgtCfg, india, bundle, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,6 +557,8 @@ func TestSourceAndTargetPhasesWithResolution(t *testing.T) {
 // TestResolutionRejectsIncompatibleCopies checks the §VI.C unresolvable
 // class: copies requiring a newer C library than the target provides.
 func TestResolutionRejectsIncompatibleCopies(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	runner := experiment.NewSimProbeRunner(quietSim())
 	india := tb.ByName["india"]
@@ -535,7 +574,7 @@ func TestResolutionRejectsIncompatibleCopies(t *testing.T) {
 	if err := testbed.ActivateStack(india, "mvapich2-1.7a2-gnu"); err != nil {
 		t.Fatal(err)
 	}
-	bundle, _, err := feam.RunSourcePhase(testConfig("source", "/home/user/is.bin"), india, runner)
+	bundle, _, err := eng.RunSourcePhase(ctx, testConfig("source", "/home/user/is.bin"), india, runner)
 	india.RestoreEnv(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +583,7 @@ func TestResolutionRejectsIncompatibleCopies(t *testing.T) {
 	if err := ranger.FS().WriteFile("/home/user/is.bin", art.Bytes); err != nil {
 		t.Fatal(err)
 	}
-	pred, _, err := feam.RunTargetPhase(testConfig("target", "/home/user/is.bin"), ranger, bundle, runner)
+	pred, _, err := eng.RunTargetPhase(ctx, testConfig("target", "/home/user/is.bin"), ranger, bundle, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,11 +610,13 @@ func testConfig(phase, binary string) *feam.Config {
 
 // TestRankSites surveys all five sites for a binary with a known best home.
 func TestRankSites(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	// An MVAPICH2 1.2 gnu binary from ranger: fir/india need resolution,
 	// forge's MVAPICH2 is broken, blacklight has no MVAPICH2 at all.
 	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.rank")
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.rank")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +629,7 @@ func TestRankSites(t *testing.T) {
 	if err := testbed.ActivateStack(ranger, "mvapich2-1.2-gnu"); err != nil {
 		t.Fatal(err)
 	}
-	bundle, _, err := feam.RunSourcePhase(testConfig("source", "/home/user/cg.rank"), ranger, experimentRunner())
+	bundle, _, err := eng.RunSourcePhase(ctx, testConfig("source", "/home/user/cg.rank"), ranger, experimentRunner())
 	ranger.RestoreEnv(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -600,7 +641,7 @@ func TestRankSites(t *testing.T) {
 			targets = append(targets, s)
 		}
 	}
-	ranked := feam.RankSites(desc, art.Bytes, targets, feam.EvalOptions{
+	ranked := eng.RankSites(ctx, desc, art.Bytes, targets, feam.EvalOptions{
 		Bundle: bundle, Resolve: true, Runner: experimentRunner(),
 	})
 	if len(ranked) != 4 {
@@ -627,21 +668,26 @@ func TestRankSites(t *testing.T) {
 // TestEvaluateDeterministic: repeated evaluations of the same pair produce
 // identical predictions.
 func TestEvaluateDeterministic(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "india", "openmpi-1.4-gnu", "mg")
-	desc, err := feam.DescribeBytes(art.Bytes, "mg.det")
+	desc, err := eng.Describe(ctx, art.Bytes, "mg.det")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fir := tb.ByName["fir"]
-	env, err := feam.Discover(fir)
+	env, err := eng.Discover(ctx, fir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runner := experimentRunner()
 	var first *feam.Prediction
 	for i := 0; i < 5; i++ {
-		pred, err := feam.Evaluate(desc, art.Bytes, env, fir, feam.EvalOptions{Runner: runner})
+		pred, err := eng.Predict(ctx, feam.EvalRequest{
+			Desc: desc, Binary: art.Bytes, Env: env, Site: fir,
+			Options: feam.EvalOptions{Runner: runner},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -660,18 +706,23 @@ func TestEvaluateDeterministic(t *testing.T) {
 // TestStackPreferenceMatchesBuildCompiler: candidates sharing the binary's
 // compiler family are tried first.
 func TestStackPreferenceMatchesBuildCompiler(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "india", "openmpi-1.4-intel", "is")
-	desc, err := feam.DescribeBytes(art.Bytes, "is.pref")
+	desc, err := eng.Describe(ctx, art.Bytes, "is.pref")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fir := tb.ByName["fir"]
-	env, err := feam.Discover(fir)
+	env, err := eng.Discover(ctx, fir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := feam.Evaluate(desc, art.Bytes, env, fir, feam.EvalOptions{Runner: experimentRunner()})
+	pred, err := eng.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: art.Bytes, Env: env, Site: fir,
+		Options: feam.EvalOptions{Runner: experimentRunner()},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,16 +21,16 @@ import (
 func TestTwoEnginesSharedRegistry(t *testing.T) {
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.shared")
-	if err != nil {
-		t.Fatal(err)
-	}
 	sites := []*sitemodel.Site{tb.ByName["ranger"], tb.ByName["india"], tb.ByName["blacklight"], tb.ByName["forge"]}
 
 	shared := registry.New()
 	engines := []*feam.Engine{
 		feam.New(feam.WithRegistry(shared), feam.WithWorkers(len(sites))),
 		feam.New(feam.WithRegistry(shared), feam.WithWorkers(len(sites))),
+	}
+	desc, err := engines[0].Describe(context.Background(), art.Bytes, "cg.shared")
+	if err != nil {
+		t.Fatal(err)
 	}
 	results := make([][]feam.SiteAssessment, len(engines))
 	var wg sync.WaitGroup

@@ -11,6 +11,7 @@ import (
 	"feam/internal/obs"
 	"feam/internal/registry"
 	"feam/internal/sitemodel"
+	"feam/internal/testbed"
 )
 
 // plainBinary builds a minimal dynamically linked executable that the edge
@@ -31,16 +32,16 @@ func plainBinary() []byte {
 // site, each parented to that site's evaluate span, which in turn parents
 // to the assess span the fan-out opened.
 func TestTracingEmitsDeterminantSpans(t *testing.T) {
+	ctx := context.Background()
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.tracing")
+	sites := []*sitemodel.Site{tb.ByName["ranger"], tb.ByName["india"], tb.ByName["blacklight"]}
+	eng := feam.New(feam.WithWorkers(len(sites)))
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.tracing")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := []*sitemodel.Site{tb.ByName["ranger"], tb.ByName["india"], tb.ByName["blacklight"]}
-
-	eng := feam.New(feam.WithWorkers(len(sites)))
-	eng.RankSites(context.Background(), desc, art.Bytes, sites,
+	eng.RankSites(ctx, desc, art.Bytes, sites,
 		feam.EvalOptions{Runner: experimentRunner()})
 
 	spans := eng.Tracer().Snapshot()
@@ -77,23 +78,89 @@ func TestTracingEmitsDeterminantSpans(t *testing.T) {
 	}
 }
 
+// TestSourcePhaseTracingStaysInEngine: the source phase describes the
+// binary and then every library copy it gathers through the calling
+// engine (§V.A's recursive description), so each description is a span
+// in that engine's tracer under the caller's span and a miss in its
+// counters, and a repeat gather is served from its registry.
+func TestSourcePhaseTracingStaysInEngine(t *testing.T) {
+	tb := sharedTestbed(t)
+	ranger := tb.ByName["ranger"]
+	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
+	path := "/home/user/cg.source-tracing"
+	if err := ranger.FS().WriteFile(path, art.Bytes); err != nil {
+		t.Fatal(err)
+	}
+	snap := ranger.SnapshotEnv()
+	defer ranger.RestoreEnv(snap)
+	if err := testbed.ActivateStack(ranger, "mvapich2-1.2-gnu"); err != nil {
+		t.Fatal(err)
+	}
+
+	eng := feam.New()
+	root := eng.Tracer().Start("request")
+	ctx := obs.ContextWithSpan(context.Background(), root)
+	bundle, _, err := eng.RunSourcePhase(ctx, testConfig("source", path), ranger, experimentRunner())
+	root.End(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bundle.Libs) == 0 {
+		t.Fatal("source phase gathered no libraries")
+	}
+	want := 1 + len(bundle.Libs)
+	if got := countSpans(eng, obs.OpDescribe); got != want {
+		t.Errorf("describe spans = %d, want %d (the binary and each gathered copy)", got, want)
+	}
+	spans := eng.Tracer().Snapshot()
+	parent := make(map[uint64]uint64, len(spans))
+	for _, sp := range spans {
+		parent[sp.ID] = sp.Parent
+	}
+	for _, sp := range spans {
+		id := sp.ID
+		for steps := 0; id != root.ID && steps < len(spans); steps++ {
+			id = parent[id]
+		}
+		if id != root.ID {
+			t.Errorf("%s span %d has no parent chain to the request span", sp.Op, sp.ID)
+		}
+	}
+	misses := eng.Metrics().Counter("bdc_misses")
+	if got := misses.Load(); got != int64(want) {
+		t.Errorf("bdc_misses = %d, want %d", got, want)
+	}
+
+	if _, err := eng.GatherLibraries(ctx, ranger, art.Bytes, path); err != nil {
+		t.Fatal(err)
+	}
+	if got := misses.Load(); got != int64(want) {
+		t.Errorf("repeat gather: bdc_misses = %d, want %d (every copy cached)", got, want)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := eng.GatherLibraries(cancelled, ranger, art.Bytes, path); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled gather: err = %v, want context.Canceled", err)
+	}
+}
+
 // TestHistogramsNoLostSamplesUnderRankSitesParallel: concurrent ranking
 // rounds must account every evaluation in the evaluate histogram — the
 // lock-free recording path may not drop samples (run under -race by the
 // obs make target).
 func TestHistogramsNoLostSamplesUnderRankSitesParallel(t *testing.T) {
+	ctx := context.Background()
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.histo")
+	sites := []*sitemodel.Site{tb.ByName["ranger"], tb.ByName["india"], tb.ByName["blacklight"], tb.ByName["forge"]}
+	eng := feam.New(feam.WithWorkers(4))
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.histo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := []*sitemodel.Site{tb.ByName["ranger"], tb.ByName["india"], tb.ByName["blacklight"], tb.ByName["forge"]}
-
-	eng := feam.New(feam.WithWorkers(4))
 	const rounds = 5
 	for r := 0; r < rounds; r++ {
-		eng.RankSites(context.Background(), desc, art.Bytes, sites,
+		eng.RankSites(ctx, desc, art.Bytes, sites,
 			feam.EvalOptions{Runner: experimentRunner()})
 	}
 	want := uint64(rounds * len(sites))
@@ -128,9 +195,6 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := eng.Predict(ctx, feam.EvalRequest{Site: site}); !errors.Is(err, feam.ErrNoEnvironment) {
 		t.Errorf("no binary: err = %v", err)
 	}
-	if _, err := eng.Evaluate(ctx, nil, nil, nil, site, feam.EvalOptions{}); !errors.Is(err, feam.ErrNoEnvironment) {
-		t.Errorf("nil Evaluate inputs: err = %v", err)
-	}
 
 	// A site whose survey surface is gone wraps ErrSiteUnavailable.
 	broken := minimalSite(t)
@@ -142,7 +206,7 @@ func TestSentinelErrors(t *testing.T) {
 		t.Errorf("broken survey: err = %v", err)
 	}
 	// The same classification surfaces through the ranking fan-out.
-	desc, derr := feam.DescribeBytes(plainBinary(), "app.sentinel")
+	desc, derr := eng.Describe(ctx, plainBinary(), "app.sentinel")
 	if derr != nil {
 		t.Fatal(derr)
 	}
@@ -170,46 +234,42 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-// TestPredictEvaluateEquivalence: Evaluate is a thin veneer over Predict —
-// both must produce the same verdict and determinant trail.
-func TestPredictEvaluateEquivalence(t *testing.T) {
+// TestPredictRequestForms: a request may carry the binary as a
+// description or as raw bytes, and the environment surveyed or not; every
+// form must produce the same verdict and determinant trail.
+func TestPredictRequestForms(t *testing.T) {
 	ctx := context.Background()
 	site := minimalSite(t)
 	img := plainBinary()
 	eng := feam.New()
-	desc, err := eng.Describe(ctx, img, "app.equiv")
+	desc, err := eng.Describe(ctx, img, "app.forms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := feam.Discover(site)
+	env, err := eng.Discover(ctx, site)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	viaEvaluate, err := eng.Evaluate(ctx, desc, img, env, site, feam.EvalOptions{})
+	want, err := eng.Predict(ctx, feam.EvalRequest{Desc: desc, Binary: img, Env: env, Site: site})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaPredict, err := eng.Predict(ctx, feam.EvalRequest{Desc: desc, Binary: img, Env: env, Site: site})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaEvaluate.Ready != viaPredict.Ready {
-		t.Fatalf("Ready: Evaluate=%v Predict=%v", viaEvaluate.Ready, viaPredict.Ready)
-	}
-	for _, d := range feam.Determinants() {
-		if viaEvaluate.Determinants[d].Outcome != viaPredict.Determinants[d].Outcome {
-			t.Errorf("%s: Evaluate=%v Predict=%v", d,
-				viaEvaluate.Determinants[d].Outcome, viaPredict.Determinants[d].Outcome)
+	for name, req := range map[string]feam.EvalRequest{
+		"bytes":    {Binary: img, BinaryName: "app.forms", Env: env, Site: site},
+		"surveyed": {Desc: desc, Binary: img, Site: site},
+	} {
+		got, err := eng.Predict(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	// Predict can also derive the description itself from the raw bytes.
-	viaBytes, err := eng.Predict(ctx, feam.EvalRequest{Binary: img, BinaryName: "app.equiv", Env: env, Site: site})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaBytes.Ready != viaPredict.Ready {
-		t.Errorf("bytes-described Ready = %v, want %v", viaBytes.Ready, viaPredict.Ready)
+		if got.Ready != want.Ready {
+			t.Errorf("%s: Ready = %v, want %v", name, got.Ready, want.Ready)
+		}
+		for _, d := range feam.Determinants() {
+			if got.Determinants[d] != want.Determinants[d] {
+				t.Errorf("%s: %s = %+v, want %+v", name, d, got.Determinants[d], want.Determinants[d])
+			}
+		}
 	}
 }
 

@@ -72,12 +72,6 @@ const (
 	costStaging         = 5 * time.Second
 )
 
-// RunSourcePhase executes FEAM's optional phase I through the package-level
-// default engine. See Engine.RunSourcePhase.
-func RunSourcePhase(cfg *Config, site *sitemodel.Site, runner fault.Runner) (*Bundle, *Report, error) {
-	return DefaultEngine().RunSourcePhase(context.Background(), cfg, site, runner)
-}
-
 // RunSourcePhase executes FEAM's optional phase I at a guaranteed execution
 // environment: describe the binary, discover the environment, confirm the
 // loaded stack matches the binary, gather library copies, and compile the
@@ -132,7 +126,7 @@ func (e *Engine) RunSourcePhase(ctx context.Context, cfg *Config, site *sitemode
 		}
 	}
 
-	gather, err := GatherLibraries(site, appBytes, cfg.BinaryPath)
+	gather, err := e.GatherLibraries(ctx, site, appBytes, cfg.BinaryPath)
 	if err != nil {
 		return nil, report, err
 	}
@@ -158,6 +152,7 @@ func (e *Engine) RunSourcePhase(ctx context.Context, cfg *Config, site *sitemode
 			bundle.MPIHello = hello
 			if runner != nil {
 				psp := e.tracer.Start(obs.OpProbe,
+					obs.WithParent(obs.SpanFromContext(ctx)),
 					obs.WithSite(site.Name), obs.WithBinary(cfg.BinaryPath),
 					obs.WithAttr(obs.AttrStack, env.Loaded.Key),
 					obs.WithAttr(obs.AttrAttempt, "1"))
@@ -198,12 +193,6 @@ func probeOnce(ctx context.Context, runner fault.Runner, site *sitemodel.Site, s
 	pb := runner.BeginProbeBatch(ctx, site, stackKey)
 	defer pb.Close()
 	return pb.RunProbe(ctx, art, nil)
-}
-
-// RunTargetPhase executes FEAM's required phase II through the
-// package-level default engine. See Engine.RunTargetPhase.
-func RunTargetPhase(cfg *Config, site *sitemodel.Site, bundle *Bundle, runner fault.Runner) (*Prediction, *Report, error) {
-	return DefaultEngine().RunTargetPhase(context.Background(), cfg, site, bundle, runner)
 }
 
 // RunTargetPhase executes FEAM's required phase II at a target site,
@@ -254,11 +243,9 @@ func (e *Engine) RunTargetPhase(ctx context.Context, cfg *Config, site *sitemode
 		report.step("environment discovery (EDC)", costDiscovery)
 	}
 
-	pred, err := e.Evaluate(ctx, desc, appBytes, env, site, EvalOptions{
-		Bundle:  bundle,
-		Runner:  runner,
-		Resolve: bundle != nil,
-		Config:  cfg,
+	pred, err := e.Predict(ctx, EvalRequest{
+		Desc: desc, Binary: appBytes, Env: env, Site: site,
+		Options: EvalOptions{Bundle: bundle, Runner: runner, Resolve: bundle != nil, Config: cfg},
 	})
 	if err != nil {
 		return nil, report, err

@@ -113,7 +113,7 @@ func TestProbeSessionContract(t *testing.T) {
 	ctx := context.Background()
 	desc, appBytes, bundle := rankBundle(t, tb, "cg.probe-session")
 	broken := compileAt(t, tb, "india", "mvapich2-1.7a2-intel", "is")
-	brokenDesc, err := feam.DescribeBytes(broken.Bytes, "is.probe-session")
+	brokenDesc, err := feam.New().Describe(ctx, broken.Bytes, "is.probe-session")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,9 @@ func TestProbeSessionContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := site.EnvFingerprint()
-			pred, err := eng.Evaluate(ctx, c.desc, c.bin, env, site, feam.EvalOptions{
-				Bundle: c.bundle, Resolve: c.bundle != nil, Runner: runner,
+			pred, err := eng.Predict(ctx, feam.EvalRequest{
+				Desc: c.desc, Binary: c.bin, Env: env, Site: site,
+				Options: feam.EvalOptions{Bundle: c.bundle, Resolve: c.bundle != nil, Runner: runner},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -152,7 +153,7 @@ func TestProbeSessionContract(t *testing.T) {
 				t.Fatalf("MPI determinant detail = %q, want %q", got, c.detail)
 			}
 			if after := site.EnvFingerprint(); after != before {
-				t.Errorf("site environment changed by Evaluate: fingerprint %x -> %x", before, after)
+				t.Errorf("site environment changed by Predict: fingerprint %x -> %x", before, after)
 			}
 			begins, _ := runner.sessions()
 			if len(begins) != 1 {
@@ -178,9 +179,11 @@ func TestProbeSessionContract(t *testing.T) {
 // contained to its site's assessment, and the session it ran in is still
 // closed exactly once, restoring the site environment.
 func TestProbeSessionClosedAfterPanic(t *testing.T) {
+	ctx := context.Background()
 	tb := sharedTestbed(t)
 	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, "cg.probe-session-panic")
+	eng := feam.New(feam.WithWorkers(2))
+	desc, err := eng.Describe(ctx, art.Bytes, "cg.probe-session-panic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +194,7 @@ func TestProbeSessionClosedAfterPanic(t *testing.T) {
 	}
 	runner := newCountingRunner(experimentRunner())
 	runner.panics = true
-	eng := feam.New(feam.WithWorkers(2))
-	ranked := eng.RankSites(context.Background(), desc, art.Bytes, sites, feam.EvalOptions{Runner: runner})
+	ranked := eng.RankSites(ctx, desc, art.Bytes, sites, feam.EvalOptions{Runner: runner})
 	panicked := 0
 	for _, a := range ranked {
 		if a.Err != nil && strings.Contains(a.Err.Error(), "panicked") {

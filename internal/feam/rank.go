@@ -23,13 +23,6 @@ type SiteAssessment struct {
 	Err error
 }
 
-// RankSites runs the Target Evaluation Component against every candidate
-// site through the package-level default engine and orders the results
-// best-first. See Engine.RankSites.
-func RankSites(desc *BinaryDescription, appBytes []byte, sites []*sitemodel.Site, opts EvalOptions) []SiteAssessment {
-	return DefaultEngine().RankSites(context.Background(), desc, appBytes, sites, opts)
-}
-
 // RankSites surveys and evaluates every candidate site with the engine's
 // worker pool and orders the results best-first — the paper's headline
 // use case: "For scientists who do not have much experience,
@@ -126,7 +119,7 @@ func (e *Engine) assessSite(ctx context.Context, desc *BinaryDescription, appByt
 		a.Err = fmt.Errorf("%w: survey of %s failed: %w", ErrSiteUnavailable, site.Name, err)
 		return a
 	}
-	pred, err := e.evaluate(ctx, EvalRequest{
+	pred, err := e.Predict(ctx, EvalRequest{
 		Desc: desc, Binary: appBytes, appELF: appELF,
 		Env: env, Site: site, Options: opts,
 	})

@@ -13,8 +13,10 @@ import (
 // ordering tests (fir/india can resolve its missing libraries from it).
 func rankBundle(t *testing.T, tb *testbed.Testbed, binName string) (*feam.BinaryDescription, []byte, *feam.Bundle) {
 	t.Helper()
+	ctx := context.Background()
+	eng := feam.New()
 	art := compileAt(t, tb, "ranger", "mvapich2-1.2-gnu", "cg")
-	desc, err := feam.DescribeBytes(art.Bytes, binName)
+	desc, err := eng.Describe(ctx, art.Bytes, binName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +29,7 @@ func rankBundle(t *testing.T, tb *testbed.Testbed, binName string) (*feam.Binary
 	if err := testbed.ActivateStack(ranger, "mvapich2-1.2-gnu"); err != nil {
 		t.Fatal(err)
 	}
-	bundle, _, err := feam.RunSourcePhase(testConfig("source", path), ranger, experimentRunner())
+	bundle, _, err := eng.RunSourcePhase(ctx, testConfig("source", path), ranger, experimentRunner())
 	ranger.RestoreEnv(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -41,6 +43,8 @@ func rankBundle(t *testing.T, tb *testbed.Testbed, binName string) (*feam.Binary
 // partial-determinant credit (blacklight passes ISA and C library but has
 // no MVAPICH2) ahead of a failed survey (no uname surface).
 func TestRankSitesOrderingClasses(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	desc, appBytes, bundle := rankBundle(t, tb, "cg.rank-classes")
 
@@ -51,7 +55,7 @@ func TestRankSitesOrderingClasses(t *testing.T) {
 	// Deliberately worst-first input: the ranking must reorder it fully.
 	sites := []*sitemodel.Site{broken, tb.ByName["blacklight"], tb.ByName["india"], tb.ByName["ranger"]}
 	opts := feam.EvalOptions{Bundle: bundle, Resolve: true, Runner: experimentRunner()}
-	ranked := feam.RankSites(desc, appBytes, sites, opts)
+	ranked := eng.RankSites(ctx, desc, appBytes, sites, opts)
 	if len(ranked) != 4 {
 		t.Fatalf("ranked = %d", len(ranked))
 	}
@@ -87,7 +91,7 @@ func TestRankSitesOrderingClasses(t *testing.T) {
 	}
 
 	// The concurrent fan-out must produce the identical ranking.
-	par := feam.New(feam.WithWorkers(4)).RankSites(context.Background(), desc, appBytes, sites, opts)
+	par := feam.New(feam.WithWorkers(4)).RankSites(ctx, desc, appBytes, sites, opts)
 	for i := range ranked {
 		if par[i].Site != ranked[i].Site {
 			t.Fatalf("parallel rank %d = %s, sequential = %s", i, par[i].Site, ranked[i].Site)
@@ -100,13 +104,15 @@ func TestRankSitesOrderingClasses(t *testing.T) {
 // partial credit, so the ranking must keep whichever order the caller
 // supplied — in both directions, and under the concurrent fan-out.
 func TestRankSitesStableTies(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := sharedTestbed(t)
 	desc, appBytes, _ := rankBundle(t, tb, "cg.rank-ties")
 	forge, blacklight := tb.ByName["forge"], tb.ByName["blacklight"]
 	opts := feam.EvalOptions{Runner: experimentRunner()}
 
 	for _, order := range [][]*sitemodel.Site{{forge, blacklight}, {blacklight, forge}} {
-		ranked := feam.RankSites(desc, appBytes, order, opts)
+		ranked := eng.RankSites(ctx, desc, appBytes, order, opts)
 		if len(ranked) != 2 {
 			t.Fatalf("ranked = %d", len(ranked))
 		}

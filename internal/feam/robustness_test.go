@@ -1,6 +1,7 @@
 package feam_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -28,11 +29,13 @@ func minimalSite(t *testing.T) *sitemodel.Site {
 // undetermined glibc, and the C-library determinant passes permissively
 // (the paper's tools-may-be-broken degradation).
 func TestDiscoverWithCorruptLibc(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	s := minimalSite(t)
 	if err := s.FS().WriteString("/lib64/libc-2.5.so", "THIS IS NOT AN ELF"); err != nil {
 		t.Fatal(err)
 	}
-	env, err := feam.Discover(s)
+	env, err := eng.Discover(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +52,11 @@ func TestDiscoverWithCorruptLibc(t *testing.T) {
 			{File: "libc.so.6", Versions: []string{"GLIBC_2.3.4"}},
 		},
 	})
-	desc, err := feam.DescribeBytes(img, "app")
+	desc, err := eng.Describe(ctx, img, "app")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := feam.Evaluate(desc, img, env, s, feam.EvalOptions{})
+	pred, err := eng.Predict(ctx, feam.EvalRequest{Desc: desc, Binary: img, Env: env, Site: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +72,13 @@ func TestDiscoverWithCorruptLibc(t *testing.T) {
 // Modules tree yields a modules site with zero stacks (not an error, and
 // not a fallback to path search — the tool exists and answered).
 func TestDiscoverWithEmptyModulesDir(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	s := minimalSite(t)
 	if err := s.FS().MkdirAll(envmgmt.ModulesRoot); err != nil {
 		t.Fatal(err)
 	}
-	env, err := feam.Discover(s)
+	env, err := eng.Discover(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +93,13 @@ func TestDiscoverWithEmptyModulesDir(t *testing.T) {
 // TestDiscoverMissingReleaseFile: without any /etc/*release the distro is
 // simply unknown; everything else proceeds.
 func TestDiscoverMissingReleaseFile(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	s := minimalSite(t)
 	if err := s.FS().Remove("/etc/redhat-release"); err != nil {
 		t.Fatal(err)
 	}
-	env, err := feam.Discover(s)
+	env, err := eng.Discover(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +114,8 @@ func TestDiscoverMissingReleaseFile(t *testing.T) {
 // TestDiscoverWrapperWithoutBanner: a stack whose mpicc cannot be executed
 // still appears, just without a confirmed compiler version.
 func TestDiscoverWrapperWithoutBanner(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	s := minimalSite(t)
 	if err := s.FS().WriteString("/opt/openmpi-1.4-gnu/lib/libmpi.so.0", "stub"); err != nil {
 		t.Fatal(err)
@@ -121,7 +130,7 @@ func TestDiscoverWrapperWithoutBanner(t *testing.T) {
 	if err := s.FS().WriteString("/opt/openmpi-1.4-gnu/bin/mpicc", "#!/bin/sh\n"); err != nil {
 		t.Fatal(err)
 	}
-	env, err := feam.Discover(s)
+	env, err := eng.Discover(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +148,8 @@ func TestDiscoverWrapperWithoutBanner(t *testing.T) {
 // TestEvaluateSharedLibraryInput: the TEC accepts a shared library as its
 // subject (the recursive-resolution path exposed at the top level).
 func TestEvaluateSharedLibraryInput(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	s := minimalSite(t)
 	img := elfimg.MustBuild(elfimg.Spec{
 		Class: elfimg.Class64, Machine: elfimg.EMX8664, Type: elfimg.TypeDyn,
@@ -149,18 +160,18 @@ func TestEvaluateSharedLibraryInput(t *testing.T) {
 		},
 		VerDefs: []string{"libscience.so.2"},
 	})
-	desc, err := feam.DescribeBytes(img, "libscience.so.2")
+	desc, err := eng.Describe(ctx, img, "libscience.so.2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !desc.IsSharedLibrary() || !desc.LibVersion.Equal(libver.V(2)) {
 		t.Errorf("desc = %+v", desc)
 	}
-	env, err := feam.Discover(s)
+	env, err := eng.Discover(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := feam.Evaluate(desc, img, env, s, feam.EvalOptions{})
+	pred, err := eng.Predict(ctx, feam.EvalRequest{Desc: desc, Binary: img, Env: env, Site: s})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestSharedImagesAreInvisible(t *testing.T) {
 
 	desc, rangerApp, bundle := rankBundle(t, tb, "cg.shared")
 	native := compileAt(t, tb, "india", "openmpi-1.4-gnu", "cg")
-	nativeDesc, err := feam.DescribeBytes(native.Bytes, "cg.native")
+	nativeDesc, err := feam.New().Describe(context.Background(), native.Bytes, "cg.native")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,9 @@ func TestSharedImagesAreInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := warm.Evaluate(ctx, desc, rangerApp, env, india, feam.EvalOptions{
-		Bundle: bundle, Resolve: true, Runner: experimentRunner(),
+	pred, err := warm.Predict(ctx, feam.EvalRequest{
+		Desc: desc, Binary: rangerApp, Env: env, Site: india,
+		Options: feam.EvalOptions{Bundle: bundle, Resolve: true, Runner: experimentRunner()},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package feam
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -112,14 +111,6 @@ func (p *Prediction) fail(d Determinant, reason string) {
 
 func (p *Prediction) pass(d Determinant, detail string) {
 	p.Determinants[d] = DeterminantResult{Outcome: Pass, Detail: detail}
-}
-
-// Evaluate runs the Target Evaluation Component through the package-level
-// default engine. See Engine.Evaluate for the semantics; new code that
-// evaluates repeatedly should hold its own Engine to share the caches
-// deliberately.
-func Evaluate(desc *BinaryDescription, appBytes []byte, env *EnvironmentDescription, site *sitemodel.Site, opts EvalOptions) (*Prediction, error) {
-	return DefaultEngine().Evaluate(context.Background(), desc, appBytes, env, site, opts)
 }
 
 // interpFor returns the conventional program-interpreter path for an

@@ -6,6 +6,7 @@
 package integration
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +54,8 @@ func pbsConfig(phase, binary string) *feam.Config {
 // TestSerialBinaryPrediction: a non-MPI program sails through the MPI
 // determinant and is judged on ISA, C library, and shared libraries alone.
 func TestSerialBinaryPrediction(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := world(t)
 	india := tb.ByName["india"]
 	fir := tb.ByName["fir"]
@@ -64,7 +67,7 @@ func TestSerialBinaryPrediction(t *testing.T) {
 	if err := fir.FS().WriteFile("/home/user/serial.bin", art.Bytes); err != nil {
 		t.Fatal(err)
 	}
-	pred, _, err := feam.RunTargetPhase(pbsConfig("target", "/home/user/serial.bin"), fir, nil, runner())
+	pred, _, err := eng.RunTargetPhase(ctx, pbsConfig("target", "/home/user/serial.bin"), fir, nil, runner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +90,8 @@ func TestSerialBinaryPrediction(t *testing.T) {
 // undetectable — a real limitation the paper's identification scheme has),
 // and the launcher binding makes the prediction optimistic.
 func TestStaticBinaryPrediction(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := world(t)
 	india := tb.ByName["india"]
 	// Install a static-capable stack.
@@ -108,7 +113,7 @@ func TestStaticBinaryPrediction(t *testing.T) {
 	if err := fir.FS().WriteFile("/home/user/is.static", art.Bytes); err != nil {
 		t.Fatal(err)
 	}
-	pred, _, err := feam.RunTargetPhase(pbsConfig("target", "/home/user/is.static"), fir, nil, runner())
+	pred, _, err := eng.RunTargetPhase(ctx, pbsConfig("target", "/home/user/is.static"), fir, nil, runner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +121,7 @@ func TestStaticBinaryPrediction(t *testing.T) {
 		t.Fatalf("static binary not ready: %v", pred.Reasons)
 	}
 	// FEAM cannot see the MPI dependency.
-	desc, err := feam.DescribeBytes(art.Bytes, "is.static")
+	desc, err := eng.Describe(ctx, art.Bytes, "is.static")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +136,8 @@ func TestStaticBinaryPrediction(t *testing.T) {
 // TestOutputFilesWritten: the target phase leaves the prediction report and
 // configuration script at the site, per §V.C.
 func TestOutputFilesWritten(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := world(t)
 	india := tb.ByName["india"]
 	fir := tb.ByName["fir"]
@@ -142,7 +149,7 @@ func TestOutputFilesWritten(t *testing.T) {
 	if err := fir.FS().WriteFile("/home/user/is.out.bin", art.Bytes); err != nil {
 		t.Fatal(err)
 	}
-	pred, report, err := feam.RunTargetPhase(pbsConfig("target", "/home/user/is.out.bin"), fir, nil, runner())
+	pred, report, err := eng.RunTargetPhase(ctx, pbsConfig("target", "/home/user/is.out.bin"), fir, nil, runner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +183,8 @@ func TestOutputFilesWritten(t *testing.T) {
 // Test32BitBinaryRejected: a 32-bit image fails the ISA determinant's word
 // size check on the 64-bit testbed.
 func Test32BitBinaryRejected(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := world(t)
 	fir := tb.ByName["fir"]
 	img := elfimg.MustBuild(elfimg.Spec{
@@ -186,7 +195,7 @@ func Test32BitBinaryRejected(t *testing.T) {
 	if err := fir.FS().WriteFile("/home/user/legacy32.bin", img); err != nil {
 		t.Fatal(err)
 	}
-	pred, _, err := feam.RunTargetPhase(pbsConfig("target", "/home/user/legacy32.bin"), fir, nil, runner())
+	pred, _, err := eng.RunTargetPhase(ctx, pbsConfig("target", "/home/user/legacy32.bin"), fir, nil, runner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +224,8 @@ func Test32BitBinaryRejected(t *testing.T) {
 // undiscoverable, and FEAM degrades with an explicit error instead of a
 // bogus prediction.
 func TestDiscoveryFailureInjection(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	site := sitemodel.New("broken-proc",
 		sitemodel.Arch{Machine: elfimg.EMX8664, Class: elfimg.Class64, CPUName: "X", FeatureLevel: 1},
 		sitemodel.OSInfo{Distro: "CentOS", Version: "5.6", Kernel: "2.6.18", ReleaseFile: "/etc/redhat-release"},
@@ -222,7 +233,7 @@ func TestDiscoveryFailureInjection(t *testing.T) {
 	if err := site.FS().Remove("/proc/sys/kernel/uname"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := feam.Discover(site); err == nil {
+	if _, err := eng.Discover(ctx, site); err == nil {
 		t.Fatal("discovery succeeded without a uname surface")
 	}
 }
@@ -231,6 +242,8 @@ func TestDiscoveryFailureInjection(t *testing.T) {
 // (no banner attribute), the EDC falls back to reading the version
 // definitions out of the library image.
 func TestGlibcDiscoveryAPIFallback(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	site := sitemodel.New("no-banner",
 		sitemodel.Arch{Machine: elfimg.EMX8664, Class: elfimg.Class64, CPUName: "X", FeatureLevel: 1},
 		sitemodel.OSInfo{Distro: "CentOS", Version: "5.6", Kernel: "2.6.18", ReleaseFile: "/etc/redhat-release"},
@@ -243,7 +256,7 @@ func TestGlibcDiscoveryAPIFallback(t *testing.T) {
 	if err := site.FS().SetAttr("/lib64/libc.so.6", sitemodel.AttrExecOutput, ""); err != nil {
 		t.Fatal(err)
 	}
-	env, err := feam.Discover(site)
+	env, err := eng.Discover(ctx, site)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +272,8 @@ func TestGlibcDiscoveryAPIFallback(t *testing.T) {
 // stripped still yields a usable description via the program-header
 // fallback (the paper's degraded-tool path).
 func TestSegmentOnlyBinaryThroughBDC(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := world(t)
 	india := tb.ByName["india"]
 	rec := india.FindStack("openmpi-1.4-gnu")
@@ -271,7 +286,7 @@ func TestSegmentOnlyBinaryThroughBDC(t *testing.T) {
 	for _, off := range []int{40, 41, 42, 43, 44, 45, 46, 47, 60, 61, 62, 63} {
 		img[off] = 0
 	}
-	desc, err := feam.DescribeBytes(img, "stripped.cg")
+	desc, err := eng.Describe(ctx, img, "stripped.cg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +306,8 @@ func TestSegmentOnlyBinaryThroughBDC(t *testing.T) {
 // TestLdSoConfDirsUsedByPrediction: libraries visible only through
 // /etc/ld.so.conf are found by the shared-library determinant.
 func TestLdSoConfDirsUsedByPrediction(t *testing.T) {
+	ctx := context.Background()
+	eng := feam.New()
 	tb := world(t)
 	fir := tb.ByName["fir"]
 	// Intel runtimes at fir live in /opt/intel/12/lib, reachable only via
@@ -304,7 +321,7 @@ func TestLdSoConfDirsUsedByPrediction(t *testing.T) {
 	if err := fir.FS().WriteFile("/home/user/is.intel.bin", art.Bytes); err != nil {
 		t.Fatal(err)
 	}
-	pred, _, err := feam.RunTargetPhase(pbsConfig("target", "/home/user/is.intel.bin"), fir, nil, runner())
+	pred, _, err := eng.RunTargetPhase(ctx, pbsConfig("target", "/home/user/is.intel.bin"), fir, nil, runner())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,16 +136,6 @@ type Span struct {
 	Events []Event           `json:"events,omitempty"`
 
 	tracer *Tracer
-	cause  error
-}
-
-// Cause returns the error the span ended with (nil for ok spans). Sinks
-// use it to hand the original error object to legacy observers.
-func (s *Span) Cause() error {
-	if s == nil {
-		return nil
-	}
-	return s.cause
 }
 
 // SetAttr sets one attribute. Safe on a nil span (no-op).
@@ -188,7 +178,6 @@ func (s *Span) End(err error) {
 	if err != nil {
 		s.Status = StatusError
 		s.ErrMsg = err.Error()
-		s.cause = err
 	} else {
 		s.Status = StatusOK
 	}

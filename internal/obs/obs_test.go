@@ -83,17 +83,13 @@ func TestSpanLifecycle(t *testing.T) {
 func TestSpanErrorStatus(t *testing.T) {
 	tr := newTestTracer(4)
 	sp := tr.Start(OpDiscover, WithSite("edge"))
-	cause := fmt.Errorf("uname unreadable")
-	sp.End(cause)
+	sp.End(fmt.Errorf("uname unreadable"))
 	got := tr.Snapshot()[0]
 	if got.Status != StatusError {
 		t.Errorf("status = %q", got.Status)
 	}
 	if got.ErrMsg != "uname unreadable" {
 		t.Errorf("err = %q", got.ErrMsg)
-	}
-	if sp.Cause() != cause {
-		t.Errorf("Cause() = %v", sp.Cause())
 	}
 }
 
@@ -107,9 +103,6 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	sp.SetAttr("k", "v")
 	sp.Event(EvCache, AttrHit, "true")
 	sp.End(nil)
-	if sp.Cause() != nil {
-		t.Errorf("nil span Cause = %v", sp.Cause())
-	}
 	if tr.Total() != 0 || tr.Snapshot() != nil {
 		t.Error("nil tracer has state")
 	}
